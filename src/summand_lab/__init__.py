@@ -13,7 +13,6 @@ from .accumulation import (
     PreweakDistance,
     ScaledDiracAtOne,
     build_accum,
-    eval_accum,
     preweak_distance,
 )
 from .arrays import (
@@ -28,9 +27,7 @@ from .arrays import (
     RowSpec,
     StandardizedIid,
     Uniform,
-    component_moments,
     hypothesis_check,
-    load_array_spec,
     row_statistics,
 )
 from .cf import (
@@ -69,9 +66,7 @@ from .criteria import (
 )
 from .exponent import (
     CurvatureCheck,
-    ExponentValue,
     MeshRefinementError,
-    QuadratureError,
     compensated_kernel,
     curvature_check,
     exponent_eval,

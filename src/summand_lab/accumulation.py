@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arrays import ComponentDist, FiniteDiscrete, RowSpec, component_from_json, component_to_json, grouped_components
-from .config import DEFAULT_TOLERANCES
+
+#: accumulation-measure atom sites closer than this are merged into one
+ATOM_MERGE = 1e-14
 
 
 class DiscontinuityPointError(ValueError):
@@ -27,8 +29,8 @@ class DiscontinuityPointError(ValueError):
 class AccumMeasure:
     """Finite measure made of point masses plus x^2-weighted continuous pieces.
 
-    atoms: (site, mass) pairs, sorted by site, sites merged within the
-        atom_merge tolerance, zero masses dropped.
+    atoms: (site, mass) pairs, sorted by site, sites merged within
+        ATOM_MERGE, zero masses dropped.
     pieces: (weight, dist) pairs; each contributes weight * y^2 dF_dist(y).
     total_mass: validated against the parts when supplied, computed otherwise.
     row_n / centered: provenance metadata when built from a row.
@@ -75,10 +77,9 @@ class AccumMeasure:
             acc += w * d.partial_m2(x)
         return acc
 
-    def mass_at(self, x: float, tol: float | None = None) -> float:
+    def mass_at(self, x: float) -> float:
         """Atom mass carried by the single point {x}."""
-        tol = DEFAULT_TOLERANCES.atom_merge if tol is None else tol
-        return math.fsum(m for s, m in self.atoms if abs(s - x) <= tol)
+        return math.fsum(m for s, m in self.atoms if abs(s - x) <= ATOM_MERGE)
 
     def scaled_mass(self, factor: float) -> "AccumMeasure":
         if factor < 0.0:
@@ -92,7 +93,6 @@ class AccumMeasure:
 
 
 def _merge_atoms(atoms) -> tuple[tuple[float, float], ...]:
-    tol = DEFAULT_TOLERANCES.atom_merge
     cleaned = []
     for site, mass in atoms:
         site, mass = float(site), float(mass)
@@ -105,7 +105,7 @@ def _merge_atoms(atoms) -> tuple[tuple[float, float], ...]:
     cleaned.sort()
     merged: list[tuple[float, float]] = []
     for site, mass in cleaned:
-        if merged and site - merged[-1][0] <= tol:
+        if merged and site - merged[-1][0] <= ATOM_MERGE:
             merged[-1] = (merged[-1][0], merged[-1][1] + mass)
         else:
             merged.append((site, mass))
@@ -132,10 +132,6 @@ def build_accum(row: RowSpec, center: bool) -> AccumMeasure:
         row_n=row.n,
         centered=center,
     )
-
-
-def eval_accum(m: AccumMeasure, x: float) -> float:
-    return m.cdf(x)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 Component families are restricted to those with closed-form partial and
 tail second moments (finite-discrete, Gaussian, uniform), so accumulation
-measures and Lindeberg sums downstream carry no quadrature error.
+measures and Lindeberg sums downstream carry no quadrature error; the
+continuous ones also carry a closed-form compensated characteristic
+function, so the limit exponent needs none either.
 """
 
 from __future__ import annotations
 
-import json
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -159,6 +161,11 @@ class Gaussian(ComponentDist):
     def cf(self, t):
         return cexp(self.m * t, -0.5 * self.v * t * t)
 
+    def compensated_cf(self, t: float) -> complex:
+        """E[e^{itX} - 1 - itX] = e^z - 1 - imt with z = imt - vt^2/2."""
+        z = complex(-0.5 * self.v * t * t, self.m * t)
+        return z * z * phi2(z) + z.real  # (e^z - 1 - z) + Re z
+
     def prob_abs_ge(self, eps):
         sd = math.sqrt(self.v)
         return float(ndtr((self.m - eps) / sd) + ndtr((-eps - self.m) / sd))
@@ -189,11 +196,6 @@ class Gaussian(ComponentDist):
             raise ValueError("scale must be positive")
         return Gaussian(self.m / s, self.v / (s * s))
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        sd = math.sqrt(self.v)
-        z = (np.asarray(x, dtype=float) - self.m) / sd
-        return _INV_SQRT_2PI / sd * np.exp(-0.5 * z * z)
-
     def sample(self, rng, size):
         # inverse-CDF on an open-(0,1) uniform so the draw is a pure function
         # of the bit stream (no rejection steps)
@@ -222,6 +224,20 @@ class Uniform(ComponentDist):
         half = 0.5 * (self.hi - self.lo) * t
         mid = 0.5 * (self.hi + self.lo) * t
         return cexp(mid, 0.0) * _sinc(half)
+
+    def compensated_cf(self, t: float) -> complex:
+        """E[e^{itX} - 1 - itX], cancellation-safe for small |t| and narrow,
+        off-centre supports.
+
+        With X = c + h U, U uniform on [-1, 1], the value is
+        e^{ict} (sinc(ht) - 1) + (e^{ict} - 1 - ict), and both terms have
+        the sign of the whole at small |t|, so nothing cancels.
+        """
+        ct = 0.5 * (self.hi + self.lo) * t
+        theta = 0.5 * (self.hi - self.lo) * t
+        sinc_m1 = -theta * phi2(complex(0.0, theta)).imag  # (sin(theta) - theta) / theta
+        w = complex(0.0, ct)
+        return cexp(ct, 0.0) * sinc_m1 + w * w * phi2(w)
 
     def prob_abs_ge(self, eps):
         overlap = max(0.0, min(self.hi, eps) - max(self.lo, -eps))
@@ -254,11 +270,6 @@ class Uniform(ComponentDist):
             raise ValueError("scale must be positive")
         return Uniform(self.lo / s, self.hi / s)
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        dens = 1.0 / (self.hi - self.lo)
-        return np.where((x >= self.lo) & (x <= self.hi), dens, 0.0)
-
     def sample(self, rng, size):
         return self.lo + (self.hi - self.lo) * rng.random(size)
 
@@ -267,6 +278,27 @@ def cexp(imag_arg: float, real_arg: float) -> complex:
     """exp(real_arg + i*imag_arg)."""
     r = math.exp(real_arg)
     return complex(r * math.cos(imag_arg), r * math.sin(imag_arg))
+
+
+#: below this |w| the direct (e^w - 1 - w) / w^2 loses more than ~1e-14
+#: relative accuracy to cancellation; there the Taylor series through w^13
+#: is exact to double rounding (the first omitted term is below 1e-17 of it)
+_SERIES_SWITCH = 0.5
+_PHI2_COEFFS = tuple(1.0 / math.factorial(j) for j in range(15, 1, -1))
+
+
+def phi2(w: complex) -> complex:
+    """(e^w - 1 - w) / w^2, with the removable value 1/2 at w = 0.
+
+    The one small-argument series behind every compensated exponential:
+    atoms of the limit exponent and the compensated characteristic functions.
+    """
+    if abs(w) < _SERIES_SWITCH:
+        acc = 0j
+        for c in _PHI2_COEFFS:
+            acc = acc * w + c
+        return acc
+    return (cmath.exp(w) - 1.0 - w) / (w * w)
 
 
 def _sinc(z: float) -> float:
@@ -279,19 +311,6 @@ def _sinc(z: float) -> float:
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     # 53-bit uniforms on the open interval (0,1); ndtri stays finite
     return rng.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53)
-
-
-class ComponentMoments(NamedTuple):
-    mean: float
-    var: float
-    cf: Callable[[float], complex]
-    partial_m2: Callable[[float], float]
-    tail_m2: Callable[[float, float], float]
-
-
-def component_moments(d: ComponentDist) -> ComponentMoments:
-    """Bundle the exact moment functionals of one component."""
-    return ComponentMoments(d.mean(), d.var(), d.cf, d.partial_m2, d.tail_m2)
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +663,3 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
                 raise ArraySpecError(f"{rpath}: {exc}") from exc
         return ExplicitArray(tuple(built))
     raise ArraySpecError(f"{path}/generator: unknown generator {name!r}")
-
-
-def load_array_spec(source: str | dict) -> ArrayGenerator:
-    """Load an array generator from a JSON string or an already-parsed dict.
-
-    On syntax errors the JSONDecodeError carries line and column; semantic
-    errors carry a JSON pointer in the message.
-    """
-    if isinstance(source, str):
-        source = json.loads(source)
-    return generator_from_json(source, "")

@@ -123,8 +123,9 @@ class PoissonTypeProduct(CharFn):
 class KolmogorovCF(CharFn):
     """Canonical finite-variance form exp(i shift u + ∫ g(u,x) dK(x)).
 
-    Evaluation of the integral lives in the exponent module; atoms are exact,
-    continuous pieces use adaptive quadrature.
+    Evaluation of the integral lives in the exponent module, in closed form:
+    atoms through the compensated kernel, continuous pieces through their
+    compensated characteristic functions.
     """
 
     shift: float
@@ -193,7 +194,7 @@ def eval_cf(spec: CharFn, t: float) -> complex:
     if isinstance(spec, KolmogorovCF):
         from .exponent import exponent_eval  # deferred: exponent imports this module
 
-        val = exponent_eval(spec.measure, t).value
+        val = exponent_eval(spec.measure, t)
         return cmath.exp(1j * spec.shift * t + val)
     if isinstance(spec, ProductCF):
         out = 1.0 + 0.0j

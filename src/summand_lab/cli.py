@@ -311,12 +311,11 @@ def _run_verdict_general(cfg, tolerances, seed):
 def _run_psi_sweep(cfg, tolerances, seed):
     measure = _parse_measure(cfg, "/measure")
     u_grid = _parse_u_grid(cfg["u_grid"], "/u_grid")
-    tol = float(cfg.get("tol", tolerances.quadrature))
     rows = []
     for u in u_grid:
-        ev = exponent_eval(measure, u, tol)
-        rows.append([u, ev.value.real, ev.value.imag, ev.quadrature_error_bound])
-    tables = [("tables/psi_sweep.csv", ["u", "re", "im", "error_bound"], rows)]
+        psi = exponent_eval(measure, u)
+        rows.append([u, psi.real, psi.imag])
+    tables = [("tables/psi_sweep.csv", ["u", "re", "im"], rows)]
     plots = [
         (
             "plots/psi_sweep.svg",
@@ -331,11 +330,7 @@ def _run_psi_sweep(cfg, tolerances, seed):
             ),
         )
     ]
-    results = {
-        "total_mass": measure.total_mass,
-        "max_error_bound": max(r[3] for r in rows),
-        "points": len(rows),
-    }
+    results = {"total_mass": measure.total_mass, "points": len(rows)}
     csv_text, header_text = export_measure_csv(measure)
     extra = [("tables/measure.csv", csv_text), ("tables/measure.json", header_text)]
     return True, results, tables, plots, extra
@@ -356,7 +351,7 @@ def _run_poisson_approx(cfg, tolerances, seed):
     last_product = None
     for count in cells:
         mesh = [-window + 2.0 * window * i / count for i in range(count + 1)]
-        product, sup_error = poisson_product_approx(measure, window, mesh, tolerances.quadrature)
+        product, sup_error = poisson_product_approx(measure, window, mesh)
         rows.append([count, sup_error(u_grid)])
         last_product = product
     tables = [("tables/approx_error.csv", ["mesh_cells", "sup_error"], rows)]

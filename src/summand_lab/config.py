@@ -9,19 +9,15 @@ class ToleranceConfig:
 
     structural: identities expected to hold in exact arithmetic up to
         double rounding (characteristic-function algebra, parameter maps).
-    quadrature: default absolute error budget for exponent integrals.
     exact_stat: verdict threshold for statistics computed in exact
         arithmetic (Lindeberg sums on discrete rows, drift sums).
-    coarse_stat: verdict threshold for quadrature-backed or mass-gap
+    coarse_stat: verdict threshold for pre-weak-distance or mass-gap
         statistics.
-    atom_merge: accumulation-measure sites closer than this are merged.
     """
 
     structural: float = 1e-12
-    quadrature: float = 1e-6
     exact_stat: float = 1e-3
     coarse_stat: float = 1e-2
-    atom_merge: float = 1e-14
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

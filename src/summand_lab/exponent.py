@@ -1,140 +1,37 @@
 """The limit exponent Psi(u) = ∫ (e^{iux} - 1 - iux) / x^2 dK(x).
 
-Atoms contribute exactly through the compensated kernel; continuous pieces
-are integrated by adaptive interval bisection with a fixed-order panel rule
-(error estimated by rule comparison) after a tail-bound window selection.
-Also builds the finite Poisson-type product that approximates exp(Psi).
+Evaluated in closed form: atoms contribute through the compensated kernel,
+and a continuous piece w y^2 dF(y) contributes w E[e^{iuY} - 1 - iuY] for
+Y ~ F, its compensated characteristic function. Also builds the finite
+Poisson-type product that approximates exp(Psi).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .accumulation import AccumMeasure
+from .arrays import phi2
 from .cf import CharFn, KolmogorovCF, PoissonTypeProduct, PoissonTypeTerm, eval_cf
-from .config import DEFAULT_TOLERANCES
-
-# below this |u*x| the direct formula loses ~ (ux)^-2 relative accuracy to
-# cancellation; the degree-6 series is then exact to double rounding
-_SERIES_SWITCH = 1e-3
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-_MAX_WINDOW = 2.0 ** 40
-_MAX_DEPTH = 48
-
-
-class QuadratureError(RuntimeError):
-    def __init__(self, msg: str, achieved: float | None = None):
-        if achieved is not None:
-            msg = f"{msg} (achieved error bound {achieved:.3g})"
-        super().__init__(msg)
-        self.achieved_bound = achieved
 
 
 class MeshRefinementError(ValueError):
     """A mesh cell has positive mass but no admissible nonzero tag."""
 
 
-@dataclass(frozen=True)
-class ExponentValue:
-    u: float
-    value: complex
-    quadrature_error_bound: float
-    tail_truncation: float  # the a of the window [-a, a]; 0 when purely atomic
-
-
 def compensated_kernel(u: float, x: float) -> complex:
     """(e^{iux} - 1 - iux) / x^2, with the removable value -u^2/2 at x = 0."""
-    if x == 0.0:
-        return complex(-0.5 * u * u, 0.0)
-    w = complex(0.0, u * x)
-    if abs(u * x) < _SERIES_SWITCH:
-        s = w * w * (0.5 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w * (1.0 / 120.0 + w / 720.0))))
-        return s / (x * x)
-    return (cmath.exp(w) - 1.0 - w) / (x * x)
+    return -u * u * phi2(complex(0.0, u * x))
 
 
-def _expm1_compensated(u: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized e^{iux} - 1 - iux (the kernel times x^2); no singularity."""
-    ux = u * x
-    w = 1j * ux
-    small = np.abs(ux) < _SERIES_SWITCH
-    direct = np.exp(w) - 1.0 - w
-    series = w * w * (0.5 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w * (1.0 / 120.0 + w / 720.0))))
-    return np.where(small, series, direct)
-
-
-def _panel(f, lo: float, hi: float) -> complex:
-    half = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi) + half * _GL_NODES
-    return half * complex(np.sum(f(x) * _GL_WEIGHTS))
-
-
-def _integrate(f, lo, hi, tol, depth=_MAX_DEPTH, whole=None):
-    if whole is None:
-        whole = _panel(f, lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = _panel(f, lo, mid)
-    right = _panel(f, mid, hi)
-    err = abs(left + right - whole)
-    if err <= tol:
-        return left + right, err
-    if depth <= 0:
-        raise QuadratureError("adaptive refinement depth exhausted", achieved=err)
-    lv, le = _integrate(f, lo, mid, 0.5 * tol, depth - 1, whole=left)
-    rv, re = _integrate(f, mid, hi, 0.5 * tol, depth - 1, whole=right)
-    return lv + rv, le + re
-
-
-def _window(measure: AccumMeasure, u: float, tol: float) -> tuple[float, float]:
-    """Smallest doubling window [-a, a] whose tail bound is below tol/2.
-
-    |g(u,x)| <= 2/x^2 + |u|/|x|, so the discarded tail contributes at most
-    (2/a^2 + |u|/a) times the measure's mass outside [-a, a].
-    """
-    a = 1.0
-    while True:
-        tail_mass = sum(w * d.tail_m2(0.0, a) for w, d in measure.pieces)
-        bound = (2.0 / (a * a) + abs(u) / a) * tail_mass
-        if bound < 0.5 * tol:
-            return a, bound
-        if a >= _MAX_WINDOW:
-            raise QuadratureError("tail window exceeded 2^40", achieved=bound)
-        a *= 2.0
-
-
-def exponent_eval(measure: AccumMeasure, u: float, tol: float | None = None) -> ExponentValue:
-    """Psi(u) with a certified absolute error bound below tol."""
-    tol = DEFAULT_TOLERANCES.quadrature if tol is None else float(tol)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+def exponent_eval(measure: AccumMeasure, u: float) -> complex:
+    """Psi(u) of the measure, exact up to double rounding."""
     u = float(u)
-    value = complex(sum(mass * compensated_kernel(u, site) for site, mass in measure.atoms))
-    if not measure.pieces:
-        return ExponentValue(u, value, 0.0, 0.0)
-
-    a, tail_bound = _window(measure, u, tol)
-    width_cap = math.pi / abs(u) if abs(u) > 1.0 else 2.0 * a
-    n_panels = max(1, math.ceil(2.0 * a / width_cap))
-    edges = np.linspace(-a, a, n_panels + 1)
-    quad_budget = 0.5 * tol / len(measure.pieces)
-    err_acc = tail_bound
-    for w, d in measure.pieces:
-        def f(x, _w=w, _d=d):
-            return _w * _expm1_compensated(u, x) * _d.pdf(x)
-
-        for i in range(n_panels):
-            lo, hi = float(edges[i]), float(edges[i + 1])
-            val, err = _integrate(f, lo, hi, quad_budget * (hi - lo) / (2.0 * a))
-            value += val
-            err_acc += err
-    return ExponentValue(u, value, err_acc, a)
+    value = sum(mass * compensated_kernel(u, site) for site, mass in measure.atoms)
+    value += sum(w * d.compensated_cf(u) for w, d in measure.pieces)
+    return complex(value)
 
 
 @dataclass(frozen=True)
@@ -146,14 +43,12 @@ class CurvatureCheck:
 def curvature_check(measure: AccumMeasure, h: float = 1e-4) -> CurvatureCheck:
     """Symmetric second difference of Re Psi at 0 against -total_mass.
 
-    Psi(0) = 0 exactly, so the difference quotient needs only Psi(+-h); the
-    quadrature budget is scaled to keep its error far below the h^2 signal.
+    Psi(0) = 0 exactly, so the difference quotient needs only Psi(+-h).
     """
     if not (0.0 < h <= 1e-3):
         raise ValueError("h must lie in (0, 1e-3]")
-    tol = max(1e-4 * h * h * max(measure.total_mass, 0.0) / 8.0, 1e-30)
-    plus = exponent_eval(measure, h, tol).value.real
-    minus = exponent_eval(measure, -h, tol).value.real
+    plus = exponent_eval(measure, h).real
+    minus = exponent_eval(measure, -h).real
     return CurvatureCheck((plus + minus) / (h * h), -measure.total_mass)
 
 
@@ -166,7 +61,6 @@ def poisson_product_approx(
     measure: AccumMeasure,
     window: float,
     mesh: Sequence[float],
-    tol: float | None = None,
 ) -> tuple[PoissonTypeProduct, Callable[[Sequence[float]], float]]:
     """Riemann-sum Poisson-type product over a partition of [-window, window].
 
@@ -219,7 +113,7 @@ def poisson_product_approx(
         worst = 0.0
         for u in u_grid:
             approx = eval_cf(prod, float(u))
-            exact = cmath.exp(exponent_eval(measure, float(u), tol).value)
+            exact = cmath.exp(exponent_eval(measure, float(u)))
             worst = max(worst, abs(approx - exact))
         return worst
 

@@ -3,8 +3,8 @@
 Row sums are sampled from Philox counter-based substreams keyed by
 (seed, stream_id), so any fixed chunking of the work reproduces bit-identical
 output regardless of how many workers execute the chunks. Distances to the
-predicted limit: exact one-sample Kolmogorov-Smirnov at sorted sample points
-and the max empirical-characteristic-function gap on a u-grid. For Bernoulli
+predicted limit: exact one-sample Kolmogorov-Smirnov over the distinct sample
+values and the max empirical-characteristic-function gap on a u-grid. For Bernoulli
 rows the binomial-vs-Poisson total variation is computed exactly from pmfs.
 """
 
@@ -68,20 +68,23 @@ def sample_sums_chunked(
 
 
 def ks_distance(samples: Sequence[float], limit_cdf: Callable) -> float:
-    """sup_x |ECDF(x) - F(x)| evaluated exactly at the sorted sample points.
+    """sup_x |ECDF(x) - F(x)|, exact for continuous and step CDFs alike.
 
-    Both one-sided gaps are taken at every point, which is exact for
-    continuous F and remains the right formula against a step CDF.
+    Between consecutive distinct sample values the ECDF is constant and F is
+    monotone, so the supremum is reached at a sample value x (ECDF(x) against
+    F(x)) or just below one (ECDF(x-) against the left limit F(x-)). F(x-) is
+    F at the next double below x: exact for a CDF evaluated in floating point.
     """
     s = np.sort(np.asarray(samples, dtype=np.float64))
     n = s.size
     if n == 0:
         raise ValueError("samples must be nonempty")
-    f = np.asarray(limit_cdf(s), dtype=np.float64)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(i / n - f))
-    d_minus = float(np.max(f - (i - 1.0) / n))
-    return max(d_plus, d_minus, 0.0)
+    values, first = np.unique(s, return_index=True)
+    below = first / n
+    at = np.append(first[1:], n) / n
+    f = np.asarray(limit_cdf(values), dtype=np.float64)
+    f_left = np.asarray(limit_cdf(np.nextafter(values, -np.inf)), dtype=np.float64)
+    return float(max(np.max(np.abs(at - f)), np.max(np.abs(below - f_left))))
 
 
 def ecf_distance(samples: Sequence[float], limit_cf: CharFn, u_grid: Sequence[float]) -> float:

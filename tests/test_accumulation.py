@@ -13,7 +13,6 @@ from summand_lab import (
     ScaledDiracAtOne,
     Uniform,
     build_accum,
-    eval_accum,
     preweak_distance,
 )
 from summand_lab.accumulation import export_measure_csv, measure_from_json, measure_to_json
@@ -25,9 +24,9 @@ def test_rademacher_measure(rademacher_gen):
     m = build_accum(rademacher_gen.row(n), center=False)
     assert m.atoms == ((-0.5, 0.5), (0.5, 0.5))
     assert m.total_mass == 1.0
-    assert eval_accum(m, 0.0) == 0.5
-    assert eval_accum(m, 10.0) == 1.0
-    assert eval_accum(m, -10.0) == 0.0
+    assert m.cdf(0.0) == 0.5
+    assert m.cdf(10.0) == 1.0
+    assert m.cdf(-10.0) == 0.0
 
 
 def test_bernoulli_centered_measure(bernoulli_gen):

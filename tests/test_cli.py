@@ -2,7 +2,9 @@
 
 import json
 import math
+
 import pytest
+from scipy.integrate import quad
 
 from summand_lab.cli import main
 from summand_lab.svgplot import PlotError, line_plot_svg
@@ -34,10 +36,9 @@ def test_psi_sweep_matches_parabola(tmp_path):
     rows = (out / "tables" / "psi_sweep.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 101
     for line in rows:
-        u, re, im, err = (float(v) for v in line.split(","))
+        u, re, im = (float(v) for v in line.split(","))
         assert abs(re - (-0.5 * u * u)) <= 1e-12
         assert im == 0.0
-        assert err == 0.0
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert report["task"] == "psi-sweep"
@@ -98,6 +99,22 @@ def test_unknown_task_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"task": "warp-drive"})
     assert main(["--config", cfg, "--out-dir", str(tmp_path / "out")]) == 3
     assert "/task" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["quadrature", "atom_merge"])
+def test_retired_tolerances_exit_3(tmp_path, capsys, field):
+    cfg = write_config(
+        tmp_path,
+        "bad.json",
+        {
+            "task": "psi-sweep",
+            "measure": {"kind": "dirac_zero", "mass": 1.0},
+            "u_grid": [1.0],
+            "tolerances": {field: 1e-6},
+        },
+    )
+    assert main(["--config", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+    assert "/tolerances" in capsys.readouterr().err
 
 
 def test_syntax_error_reports_line(tmp_path, capsys):
@@ -222,8 +239,35 @@ def test_from_array_measure(tmp_path):
     assert main(["--config", cfg, "--out-dir", str(out), "--quiet"]) == 0
     rows = (out / "tables" / "psi_sweep.csv").read_text().strip().splitlines()[1:]
     # atoms at +-0.25, mass 1: Re Psi(1) = (cos(0.25) - 1) * 16
-    u, re, im, err = (float(v) for v in rows[2].split(","))
+    u, re, im = (float(v) for v in rows[2].split(","))
     assert re == pytest.approx((math.cos(0.25) - 1.0) * 16.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 64, 100])
+def test_psi_sweep_uniform_from_array(tmp_path, n):
+    cfg = write_config(
+        tmp_path,
+        "sweep.json",
+        {
+            "task": "psi-sweep",
+            "array": {"generator": "standardized_iid",
+                      "base": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
+            "measure": {"kind": "from_array", "n": n, "centered": True},
+            "u_grid": {"start": -10.0, "stop": 10.0, "step": 0.5},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out-dir", str(out), "--quiet"]) == 0
+    rows = (out / "tables" / "psi_sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 41
+    # row n is n copies of Uniform(-h, h), h = sqrt(3 / n): K_n has one piece
+    # of weight n, and Psi(u) = n E[e^{iuY} - 1 - iuY]
+    h = math.sqrt(3.0 / n)
+    for line in rows:
+        u, re, im = (float(v) for v in line.split(","))
+        want_re = n * quad(lambda y: math.cos(u * y) - 1.0, -h, h, epsabs=1e-12, limit=200)[0] / (2 * h)
+        want_im = n * quad(lambda y: math.sin(u * y) - u * y, -h, h, epsabs=1e-12, limit=200)[0] / (2 * h)
+        assert abs(complex(re, im) - complex(want_re, want_im)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

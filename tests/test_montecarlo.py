@@ -104,6 +104,17 @@ def test_ks_against_step_cdf():
     assert vals[3] == pytest.approx(2 * math.exp(-1.0), abs=1e-15)
 
 
+def test_ks_bernoulli_sums_against_poisson(bernoulli_gen):
+    # integer sums against an integer step CDF: both are constant on every
+    # [k, k + 1), so the supremum is a maximum over the integers
+    s = sample_sums_chunked(bernoulli_gen.row(256), 20_000, seed=8)
+    k = np.arange(-1, int(s.max()) + 1)
+    ecdf = (s[None, :] <= k[:, None]).mean(axis=1)
+    direct = float(np.max(np.abs(ecdf - poisson.cdf(k, 1.0))))
+    assert ks_distance(s, translated_poisson_cdf(0.0, 1.0)) == pytest.approx(direct, abs=1e-12)
+    assert direct < 0.02
+
+
 def test_ecf_examples():
     zeros = np.zeros(10)
     assert ecf_distance(zeros, Degenerate(0.0), (0.5, 2.0)) == 0.0
