@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arrays import ComponentDist, FiniteDiscrete, RowSpec, component_from_json, component_to_json, grouped_components
+from .arrays import ComponentDist, FiniteDiscrete, RowSpec, component_from_json, component_to_json
 
 #: accumulation-measure atom sites closer than this are merged into one
 ATOM_MERGE = 1e-14
@@ -117,7 +117,7 @@ def build_accum(row: RowSpec, center: bool) -> AccumMeasure:
     component; with center=True every component is first shifted by its mean."""
     site_mass: dict[float, float] = {}
     piece_weight: dict[ComponentDist, float] = {}
-    for dist, count, _ in grouped_components(row.components):
+    for dist, count in row.components:
         d = dist.shifted(dist.mean()) if center else dist
         if isinstance(d, FiniteDiscrete):
             for x, p in d.atoms:

@@ -320,46 +320,40 @@ def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowSpec:
+    """Row n of an array as (component, count) groups.
+
+    ``components`` takes (ComponentDist, count) pairs; equal-valued components
+    are merged into one group, kept in order of first appearance, so every
+    per-row sum costs O(#groups) rather than O(k(n)).
+    """
+
     n: int
-    components: tuple[ComponentDist, ...]
+    components: tuple[tuple[ComponentDist, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) < 1:
+        groups: dict[ComponentDist, int] = {}
+        for i, pair in enumerate(self.components):
+            try:
+                comp, count = pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"component {i}: expected a (component, count) pair, got {pair!r}"
+                ) from None
+            if not isinstance(comp, ComponentDist):
+                raise ValueError(f"component {i}: expected a component distribution, got {comp!r}")
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValueError(f"component {i}: count must be a positive integer, got {count!r}")
+            groups[comp] = groups.get(comp, 0) + count
+        if not groups:
             raise ValueError("a row needs at least one component")
+        object.__setattr__(self, "components", tuple(groups.items()))
 
     def k(self) -> int:
-        return len(self.components)
+        return sum(count for _, count in self.components)
 
     def centered(self) -> "RowSpec":
         """Row with every component shifted by its own mean."""
-        cache: dict[int, ComponentDist] = {}
-        out = []
-        for comp in self.components:
-            got = cache.get(id(comp))
-            if got is None:
-                got = comp.shifted(comp.mean())
-                cache[id(comp)] = got
-            out.append(got)
-        return RowSpec(self.n, tuple(out))
-
-
-def grouped_components(components: Sequence[ComponentDist]):
-    """Group repeated (identical-object) components: [(dist, count, first_index)].
-
-    Generators build rows as n references to one object, so statistics loops
-    run in O(#unique) instead of O(k(n)).
-    """
-    order: list[list] = []
-    index: dict[int, list] = {}
-    for pos, comp in enumerate(components):
-        ent = index.get(id(comp))
-        if ent is None:
-            ent = [comp, 0, pos]
-            index[id(comp)] = ent
-            order.append(ent)
-        ent[1] += 1
-    return [(c, cnt, first) for c, cnt, first in order]
+        return RowSpec(self.n, tuple((d.shifted(d.mean()), count) for d, count in self.components))
 
 
 class RowStats(NamedTuple):
@@ -376,7 +370,7 @@ def row_statistics(row: RowSpec, eps: float) -> RowStats:
     mv = 0.0
     b = 0.0
     a = 0.0
-    for dist, count, _ in grouped_components(row.components):
+    for dist, count in row.components:
         u = max(u, dist.prob_abs_ge(eps))
         v = dist.var()
         mv += v * count
@@ -406,7 +400,7 @@ class StandardizedIid(ArrayGenerator):
         if n < 1:
             raise ValueError("row index must be >= 1")
         comp = self.base.scaled(math.sqrt(n * self.base.var()))
-        return RowSpec(n, (comp,) * n)
+        return RowSpec(n, ((comp, n),))
 
 
 @dataclass(frozen=True)
@@ -427,7 +421,7 @@ class BernoulliPoisson(ArrayGenerator):
         if p > 1.0:
             raise ValueError(f"row {n} would need success probability {p} > 1")
         comp = FiniteDiscrete(((0.0, 1.0 - p), (1.0, p)))
-        return RowSpec(n, (comp,) * n)
+        return RowSpec(n, ((comp, n),))
 
 
 @dataclass(frozen=True)
@@ -519,7 +513,7 @@ def hypothesis_check(
         mv.append(st.mv)
         b.append(st.b)
         a.append(st.a)
-        max_m2.append(max(d.second_moment() for d, _, _ in grouped_components(row.components)))
+        max_m2.append(max(d.second_moment() for d, _ in row.components))
 
     u_table, bound_table = [], []
     markov_ok = True
@@ -617,7 +611,12 @@ def generator_to_json(gen: ArrayGenerator) -> dict:
         return {
             "generator": "explicit",
             "rows": [
-                {"n": r.n, "components": [component_to_json(c) for c in r.components]}
+                {
+                    "n": r.n,
+                    "components": [
+                        component_to_json(c) for c, count in r.components for _ in range(count)
+                    ],
+                }
                 for r in gen.rows
             ],
         }
@@ -653,12 +652,13 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
             rpath = f"{path}/rows/{i}"
             if not isinstance(robj, dict) or "n" not in robj or "components" not in robj:
                 raise ArraySpecError(f"{rpath}: expected an object with 'n' and 'components'")
-            comps = tuple(
+            comps = [
                 component_from_json(c, f"{rpath}/components/{j}")
                 for j, c in enumerate(robj["components"])
-            )
+            ]
             try:
-                built.append(RowSpec(int(robj["n"]), comps))
+                # a generator, so no tuple of k(n) pairs outlives the grouping
+                built.append(RowSpec(int(robj["n"]), ((c, 1) for c in comps)))
             except (ValueError, TypeError) as exc:
                 raise ArraySpecError(f"{rpath}: {exc}") from exc
         return ExplicitArray(tuple(built))

@@ -62,6 +62,19 @@ _REQUIRED = {
 }
 
 
+#: fields every task accepts, and the optional fields each task documents
+_COMMON = ("task", "out_dir", "seed", "plots", "tolerances")
+_OPTIONAL = {
+    "hypotheses": ("c_target",),
+    "verdict-gaussian": (),
+    "verdict-poisson": (),
+    "verdict-general": ("shift_target", "eps_list"),
+    "psi-sweep": ("array",),
+    "poisson-approx": ("array",),
+    "simulate": ("ks_threshold", "ecf_threshold", "dump_samples"),
+}
+
+
 class ConfigError(ValueError):
     """Config schema violation; message starts with a JSON pointer."""
 
@@ -77,6 +90,10 @@ def validate_config(cfg) -> None:
     for field in _REQUIRED[task]:
         if field not in cfg:
             raise ConfigError(f"/{field}: required for task {task!r}")
+    allowed = set(_COMMON) | set(_REQUIRED[task]) | set(_OPTIONAL[task])
+    for field in cfg:
+        if field not in allowed:
+            raise ConfigError(f"/{field}: unknown field for task {task!r}")
     if task == "psi-sweep" or task == "poisson-approx":
         meas = cfg.get("measure")
         if isinstance(meas, dict) and meas.get("kind") == "from_array" and "array" not in cfg:

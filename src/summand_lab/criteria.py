@@ -26,7 +26,6 @@ from .arrays import (
     ArrayGenerator,
     HypothesisReport,
     RowSpec,
-    grouped_components,
     hypothesis_check,
     row_statistics,
 )
@@ -56,7 +55,7 @@ def lindeberg_gaussian(row: RowSpec, eps: float) -> float:
         raise ValueError("eps must be positive")
     return math.fsum(
         count * d.tail_m2(0.0, eps, inclusive=True)
-        for d, count, _ in grouped_components(row.components)
+        for d, count in row.components
     )
 
 
@@ -68,7 +67,7 @@ def lindeberg_poisson(row: RowSpec, eps: float) -> float:
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     total = 0.0
-    for d, count, _ in grouped_components(row.components):
+    for d, count in row.components:
         centered = d.shifted(d.mean())
         total += count * centered.tail_m2(1.0, eps, inclusive=False)
     return total
@@ -82,11 +81,11 @@ def comparison_residual(row: RowSpec, u: float, c_bound: float) -> tuple[float, 
     """
     acc = 0.0 + 0.0j
     b = 0.0
-    for d, count, first in grouped_components(row.components):
+    for i, (d, count) in enumerate(row.components):
         f = d.cf(u)
         if abs(f - 1.0) >= 1.0:
             raise ComparisonRegimeError(
-                f"component {first} has |f(u) - 1| = {abs(f - 1.0):.6g} >= 1 at u = {u}"
+                f"component {i} ({count} x {d!r}) has |f(u) - 1| = {abs(f - 1.0):.6g} >= 1 at u = {u}"
             )
         acc += count * (cmath.log(f) - (f - 1.0))
         b = max(b, d.var())
@@ -223,10 +222,10 @@ def gaussian_verdict(
     eps_list = tuple(float(e) for e in eps_list)
     rows = [gen.row(n) for n in n_list]
     for row in rows:
-        for d, _, first in grouped_components(row.components):
+        for i, (d, count) in enumerate(row.components):
             if abs(d.mean()) > tolerances.structural:
                 raise NonCenteredRowError(
-                    f"row n={row.n} component {first} has mean {d.mean():.3g}; "
+                    f"row n={row.n} component {i} ({count} x {d!r}) has mean {d.mean():.3g}; "
                     "use general_verdict (or poisson_verdict) for non-centered arrays"
                 )
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .arrays import ArrayGenerator, RowSpec
+from .arrays import ArrayGenerator, ComponentDist, FiniteDiscrete, Gaussian, RowSpec
 from .cf import CharFn, GaussianCF, TranslatedPoissonCF, eval_cf
 
 #: samples per logical substream; chunk j of row index i draws from
@@ -34,15 +34,41 @@ def _substream(seed: int, stream_id: int) -> np.random.Generator:
 def sample_sums(row: RowSpec, count: int, seed: int, stream_id: int = 0) -> np.ndarray:
     """count independent realizations of the row sum, one fixed substream.
 
-    Components draw in row order from the single (seed, stream_id) stream, so
-    the result is a pure function of those two integers.
+    Groups draw in row order from the single (seed, stream_id) stream, each
+    from the exact law of its sum, and all Gaussian groups together draw last
+    as one N(sum c m, sum c v); the result is a pure function of the two
+    integers.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = _substream(seed, stream_id)
     total = np.zeros(count, dtype=np.float64)
-    for comp in row.components:
-        total += comp.sample(rng, count)
+    gauss_m, gauss_v = [], []
+    for comp, copies in row.components:
+        if isinstance(comp, Gaussian):
+            gauss_m.append(copies * comp.m)
+            gauss_v.append(copies * comp.v)
+        else:
+            total += _group_sums(comp, copies, rng, count)
+    if gauss_v:
+        total += Gaussian(math.fsum(gauss_m), math.fsum(gauss_v)).sample(rng, count)
+    return total
+
+
+def _group_sums(comp: ComponentDist, copies: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size realizations of the sum of `copies` independent draws of comp.
+
+    A finite-discrete group is sites . Multinomial(copies, probs); any other
+    family draws once per copy (Irwin-Hall sums have no cheap exact sampler).
+    """
+    if isinstance(comp, FiniteDiscrete) and copies > 1:
+        sites = np.array([x for x, _ in comp.atoms])
+        probs = np.array([p for _, p in comp.atoms])
+        # atoms may sum to 1 +- 1e-12, which numpy's own check can reject
+        return rng.multinomial(copies, probs / probs.sum(), size=size) @ sites
+    total = comp.sample(rng, size)
+    for _ in range(copies - 1):
+        total += comp.sample(rng, size)
     return total
 
 
@@ -88,13 +114,21 @@ def ks_distance(samples: Sequence[float], limit_cdf: Callable) -> float:
 
 
 def ecf_distance(samples: Sequence[float], limit_cf: CharFn, u_grid: Sequence[float]) -> float:
-    """max over the grid of |mean e^{iuS} - limit(u)|."""
+    """max over the grid of |mean e^{iuS} - limit(u)|.
+
+    The mean runs over the distinct sample values weighted by their
+    frequencies, one u at a time: lattice sums have few distinct values, and
+    the temporaries stay the size of the sample.
+    """
     s = np.asarray(samples, dtype=np.float64)
     if s.size == 0 or len(u_grid) == 0:
         raise ValueError("samples and u_grid must be nonempty")
+    values, counts = np.unique(s, return_counts=True)
+    weights = counts / s.size
     worst = 0.0
     for u in u_grid:
-        emp = complex(np.mean(np.exp(1j * float(u) * s)))
+        angle = float(u) * values
+        emp = complex(weights @ np.cos(angle), weights @ np.sin(angle))
         worst = max(worst, abs(emp - eval_cf(limit_cf, float(u))))
     return worst
 

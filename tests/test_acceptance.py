@@ -54,7 +54,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def mixed_row() -> RowSpec:
     coin = FiniteDiscrete(((-0.6, 0.5), (0.6, 0.5)))
-    return RowSpec(7, (coin, coin, Uniform(-1.0, 1.0)))
+    return RowSpec(7, ((coin, 2), (Uniform(-1.0, 1.0), 1)))
 
 
 def test_c01_exponent_closed_form_oracles():
@@ -276,7 +276,7 @@ def test_c10_negative_controls():
     rows = []
     for n in N_LIST:
         s = math.sqrt(2.0 / n)
-        rows.append(RowSpec(n, (FiniteDiscrete(((-s, 0.5), (s, 0.5))),) * n))
+        rows.append(RowSpec(n, ((FiniteDiscrete(((-s, 0.5), (s, 0.5))), n),)))
     bad = ExplicitArray(tuple(rows))
     rep1 = gaussian_verdict(bad, N_LIST, EPS_LIST)
     ctrl1 = (not rep1.passed) and ("GC0 normalization" in rep1.reasons)

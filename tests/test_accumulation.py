@@ -16,7 +16,6 @@ from summand_lab import (
     preweak_distance,
 )
 from summand_lab.accumulation import export_measure_csv, measure_from_json, measure_to_json
-from summand_lab.arrays import grouped_components
 
 
 def test_rademacher_measure(rademacher_gen):
@@ -42,7 +41,7 @@ def test_bernoulli_centered_measure(bernoulli_gen):
 
 
 def test_zero_site_atom_dropped():
-    row = RowSpec(1, (FiniteDiscrete(((0.0, 1.0),)),))
+    row = RowSpec(1, ((FiniteDiscrete(((0.0, 1.0),)), 1),))
     m = build_accum(row, center=False)
     assert m.atoms == ()
     assert m.total_mass == 0.0
@@ -52,16 +51,17 @@ def test_total_mass_decomposition():
     coin = FiniteDiscrete(((0.0, 0.7), (2.0, 0.3)))
     g = Gaussian(0.5, 2.0)
     u = Uniform(-1.0, 3.0)
-    row = RowSpec(5, (coin, coin, g, u, u))
+    flat = (coin, coin, g, u, u)
+    row = RowSpec(5, tuple((d, 1) for d in flat))
     # independent oracle: sum over components of E X^2 (uncentered), Var (centered)
-    m2 = sum(d.second_moment() * c for d, c, _ in grouped_components(row.components))
-    vv = sum(d.var() * c for d, c, _ in grouped_components(row.components))
+    m2 = sum(d.second_moment() for d in flat)
+    vv = sum(d.var() for d in flat)
     assert build_accum(row, center=False).total_mass == pytest.approx(m2, rel=1e-12)
     assert build_accum(row, center=True).total_mass == pytest.approx(vv, rel=1e-12)
 
 
 def test_mixed_measure_cdf():
-    row = RowSpec(3, (FiniteDiscrete(((-0.6, 0.5), (0.6, 0.5))), Uniform(-1.0, 1.0)))
+    row = RowSpec(3, ((FiniteDiscrete(((-0.6, 0.5), (0.6, 0.5))), 1), (Uniform(-1.0, 1.0), 1)))
     m = build_accum(row, center=False)
     # uniform piece alone: K(x) = (x^3 + 1) / 6 on [-1, 1]
     assert m.cdf(-0.7) == pytest.approx((-0.343 + 1.0) / 6.0, abs=1e-14)
@@ -137,7 +137,7 @@ def test_portmanteau_atom_mass_vanishes(rademacher_gen):
 
 
 def test_measure_json_round_trip():
-    row = RowSpec(3, (FiniteDiscrete(((-0.6, 0.5), (0.6, 0.5))), Gaussian(0.0, 1.0)))
+    row = RowSpec(3, ((FiniteDiscrete(((-0.6, 0.5), (0.6, 0.5))), 1), (Gaussian(0.0, 1.0), 1)))
     m = build_accum(row, center=False)
     again = measure_from_json(measure_to_json(m))
     assert again.atoms == m.atoms

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from summand_lab import (
@@ -16,10 +17,13 @@ from summand_lab import (
     RowSpec,
     StandardizedIid,
     Uniform,
+    build_accum,
     hypothesis_check,
+    lindeberg_gaussian,
+    lindeberg_poisson,
     row_statistics,
 )
-from summand_lab.arrays import generator_from_json, generator_to_json
+from summand_lab.arrays import component_to_json, generator_from_json, generator_to_json
 from summand_lab.montecarlo import sample_sums
 
 
@@ -147,7 +151,7 @@ def test_row_statistics_bernoulli(bernoulli_gen):
 def test_uniform_standardized_support():
     gen = StandardizedIid(Uniform(-1.0, 1.0))
     n = 400
-    comp = gen.row(n).components[0]
+    comp, _ = gen.row(n).components[0]
     # scaled support is +-sqrt(3/n)
     bound = math.sqrt(3.0 / n)
     assert comp.prob_abs_ge(bound * 1.0000001) == 0.0
@@ -156,7 +160,7 @@ def test_uniform_standardized_support():
 
 def test_centered_rows(bernoulli_gen):
     row = bernoulli_gen.row(50).centered()
-    for comp in row.components[:1]:
+    for comp, _ in row.components[:1]:
         assert abs(comp.mean()) <= 1e-15
 
 
@@ -212,18 +216,18 @@ def test_bernoulli_generator_bounds():
     with pytest.raises(ValueError):
         gen.row(1)  # p = 2 > 1
     row = gen.row(2)
-    assert row.components[0].atoms[1] == (1.0, 1.0)
+    assert row.components[0][0].atoms[1] == (1.0, 1.0)
 
 
 def test_explicit_array_lookup(rademacher):
-    gen = ExplicitArray((RowSpec(3, (rademacher,) * 3),))
+    gen = ExplicitArray((RowSpec(3, ((rademacher, 3),)),))
     assert gen.row(3).k() == 3
     with pytest.raises(ValueError, match="available"):
         gen.row(5)
 
 
 def test_json_round_trip(rademacher_gen, bernoulli_gen, rademacher):
-    for gen in (rademacher_gen, bernoulli_gen, ExplicitArray((RowSpec(2, (rademacher,) * 2),))):
+    for gen in (rademacher_gen, bernoulli_gen, ExplicitArray((RowSpec(2, ((rademacher, 2),)),))):
         doc = generator_to_json(gen)
         again = generator_from_json(json.loads(json.dumps(doc)))
         assert generator_to_json(again) == doc
@@ -257,3 +261,82 @@ def test_gaussian_sampler_moments():
     assert np.isfinite(s).all()
     assert s.mean() == pytest.approx(2.0, abs=0.05)
     assert s.var() == pytest.approx(9.0, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# Grouped rows against direct sums over the flat component list
+# ---------------------------------------------------------------------------
+
+# every draw builds a fresh object, so equal values repeat as distinct objects
+_POOL = (
+    lambda: FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5))),
+    lambda: FiniteDiscrete(((0.0, 0.7), (2.0, 0.3))),
+    lambda: FiniteDiscrete(((0.0, 0.9), (1.0, 0.1))),
+    lambda: FiniteDiscrete(((-0.5, 0.2), (0.25, 0.5), (3.0, 0.3))),
+    lambda: Gaussian(0.5, 2.0),
+    lambda: Gaussian(0.0, 0.25),
+    lambda: Uniform(-1.0, 3.0),
+    lambda: Uniform(-0.5, 0.5),
+)
+flat_rows = st.lists(st.sampled_from(_POOL).map(lambda make: make()), min_size=1, max_size=40)
+epsilons = st.sampled_from((0.05, 0.3, 0.5, 1.0, 2.5))
+GROUPED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@GROUPED
+@given(flat_rows, epsilons)
+def test_grouped_row_matches_flat_sums(flat, eps):
+    row = RowSpec(len(flat), [(c, 1) for c in flat])
+    assert row.k() == len(flat)
+    assert [c for c, _ in row.components] == list(dict.fromkeys(flat))  # first-appearance order
+
+    stats = row_statistics(row, eps)
+    assert stats.u == max(d.prob_abs_ge(eps) for d in flat)
+    assert stats.b == max(d.var() for d in flat)
+    assert stats.mv == pytest.approx(math.fsum(d.var() for d in flat), rel=1e-12)
+    scale = math.fsum(abs(d.mean()) for d in flat)
+    assert abs(stats.a - math.fsum(d.mean() for d in flat)) <= 1e-12 * scale
+
+    gauss = math.fsum(d.tail_m2(0.0, eps, inclusive=True) for d in flat)
+    pois = math.fsum(d.shifted(d.mean()).tail_m2(1.0, eps) for d in flat)
+    assert lindeberg_gaussian(row, eps) == pytest.approx(gauss, rel=1e-12)
+    assert lindeberg_poisson(row, eps) == pytest.approx(pois, rel=1e-12)
+
+    m2 = math.fsum(d.second_moment() for d in flat)
+    var = math.fsum(d.var() for d in flat)
+    assert build_accum(row, center=False).total_mass == pytest.approx(m2, rel=1e-12)
+    assert build_accum(row, center=True).total_mass == pytest.approx(var, rel=1e-12)
+
+
+@GROUPED
+@given(st.lists(flat_rows, min_size=1, max_size=3))
+def test_explicit_json_grouping_is_a_fixed_point(flats):
+    doc = {
+        "generator": "explicit",
+        "rows": [
+            {"n": i + 1, "components": [component_to_json(c) for c in flat]}
+            for i, flat in enumerate(flats)
+        ],
+    }
+    once = generator_to_json(generator_from_json(doc))
+    twice = generator_to_json(generator_from_json(json.loads(json.dumps(once))))
+    assert json.dumps(twice) == json.dumps(once)
+    for raw, grouped in zip(doc["rows"], once["rows"]):
+        # the same multiset of components, written out count times each
+        assert sorted(map(json.dumps, grouped["components"])) == sorted(map(json.dumps, raw["components"]))
+
+
+def test_row_rejects_flat_components(rademacher):
+    with pytest.raises(ValueError, match="component 0"):
+        RowSpec(2, (rademacher, rademacher))
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        RowSpec(1, ((rademacher, 0),))
+    with pytest.raises(ValueError, match="at least one component"):
+        RowSpec(1, ())
+
+
+def test_equal_components_merge(rademacher):
+    twin = FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5)))
+    row = RowSpec(5, ((rademacher, 2), (Uniform(0.0, 1.0), 1), (twin, 2)))
+    assert row.components == ((rademacher, 4), (Uniform(0.0, 1.0), 1))
+    assert row.k() == 5

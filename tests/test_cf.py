@@ -1,9 +1,11 @@
 """Characteristic-function algebra: closed forms, roots, products, JSON."""
 
 import cmath
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from summand_lab import (
     CauchyCF,
@@ -27,6 +29,8 @@ from summand_lab import (
     root_limit_profile,
     standard_t_grid,
 )
+from summand_lab.accumulation import AccumMeasure
+from summand_lab.arrays import Gaussian, Uniform
 from summand_lab.cf import from_json, to_json
 
 FAMILIES = [
@@ -238,3 +242,32 @@ def test_json_errors_carry_pointers():
         from_json({"family": "zeta", "params": {}})
     with pytest.raises(CharFnError, match="missing required field"):
         from_json({"family": "gaussian", "params": {"m": 0.0}})
+
+
+# ---------------------------------------------------------------------------
+# JSON round trips on random specs
+# ---------------------------------------------------------------------------
+
+_finite = st.floats(-1e6, 1e6)
+_positive = st.floats(0.0, 1e6, exclude_min=True)
+_gaussian_cfs = st.builds(GaussianCF, _finite, st.floats(0.0, 1e6))
+_poisson_cfs = st.builds(TranslatedPoissonCF, _finite, _positive)
+_pieces = st.one_of(
+    st.builds(Gaussian, st.floats(-10.0, 10.0), st.floats(1e-6, 10.0)),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-10.0, 10.0), st.floats(1e-3, 10.0)),
+)
+_measures = st.builds(
+    lambda atoms, pieces: AccumMeasure(atoms=tuple(atoms), pieces=tuple(pieces)),
+    st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)), max_size=6),
+    st.lists(st.tuples(st.floats(0.0, 10.0), _pieces), max_size=3),
+)
+_kolmogorov_cfs = st.builds(KolmogorovCF, _finite, _measures)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_gaussian_cfs, _poisson_cfs, _kolmogorov_cfs))
+def test_json_round_trip_random_specs(spec):
+    text = json.dumps(to_json(spec))
+    again = from_json(json.loads(text))
+    assert again == spec
+    assert json.dumps(to_json(again)) == text

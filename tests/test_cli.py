@@ -117,6 +117,24 @@ def test_retired_tolerances_exit_3(tmp_path, capsys, field):
     assert "/tolerances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["tol", "tolerence", "c_target"])
+def test_unknown_top_level_field_exits_3(tmp_path, capsys, field):
+    # a retired knob, a misspelling, and an optional field of another task
+    cfg = write_config(
+        tmp_path,
+        "bad.json",
+        {
+            "task": "psi-sweep",
+            "measure": {"kind": "dirac_zero", "mass": 1.0},
+            "u_grid": [1.0],
+            field: 1e-6,
+        },
+    )
+    assert main(["--config", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"/{field}: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_syntax_error_reports_line(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text('{"task": "psi-sweep",\n  "measure": }')

@@ -28,7 +28,7 @@ def mv2_generator(n_list):
     rows = []
     for n in n_list:
         s = math.sqrt(2.0 / n)
-        rows.append(RowSpec(n, (FiniteDiscrete(((-s, 0.5), (s, 0.5))),) * n))
+        rows.append(RowSpec(n, ((FiniteDiscrete(((-s, 0.5), (s, 0.5))), n),)))
     return ExplicitArray(tuple(rows))
 
 
@@ -68,7 +68,7 @@ def test_lindeberg_poisson_rademacher_stuck_at_mv(rademacher_gen):
 
 
 def test_lindeberg_poisson_degenerate_rows():
-    row = RowSpec(2, (FiniteDiscrete(((3.0, 1.0),)), FiniteDiscrete(((-1.0, 1.0),))))
+    row = RowSpec(2, ((FiniteDiscrete(((3.0, 1.0),)), 1), (FiniteDiscrete(((-1.0, 1.0),)), 1)))
     assert lindeberg_poisson(row, 0.5) == 0.0
 
 
@@ -107,7 +107,7 @@ def test_comparison_residual_rademacher_frozen(rademacher_gen):
 
 def test_comparison_residual_quartic_order():
     v = 1.0
-    row = RowSpec(1, (FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5))),))
+    row = RowSpec(1, ((FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5))), 1),))
     u = 0.01
     res, bound = comparison_residual(row, u, 1.0)
     # Log(1+w) - w ~ -w^2/2 with w = cos(u sqrt(v)) - 1 ~ -u^2 v / 2
@@ -116,7 +116,7 @@ def test_comparison_residual_quartic_order():
 
 
 def test_comparison_regime_error():
-    row = RowSpec(1, (FiniteDiscrete(((math.pi, 1.0),)),))
+    row = RowSpec(1, ((FiniteDiscrete(((math.pi, 1.0),)), 1),))
     with pytest.raises(ComparisonRegimeError, match="component 0"):
         comparison_residual(row, 1.0, 1.0)
 

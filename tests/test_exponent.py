@@ -29,7 +29,7 @@ from summand_lab.cf import Degenerate, GaussianCF, TranslatedPoissonCF
 
 def mixed_measure():
     coin = FiniteDiscrete(((-0.6, 0.5), (0.6, 0.5)))
-    row = RowSpec(7, (coin, coin, Uniform(-1.0, 1.0)))
+    row = RowSpec(7, ((coin, 2), (Uniform(-1.0, 1.0), 1)))
     return build_accum(row, center=False)
 
 

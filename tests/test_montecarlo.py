@@ -13,7 +13,9 @@ from summand_lab import (
     Gaussian,
     RowSpec,
     SimulationPlan,
+    Uniform,
     ecf_distance,
+    eval_cf,
     ks_distance,
     run_simulation,
     sample_sums,
@@ -27,7 +29,7 @@ from scipy.special import ndtri
 
 
 def test_degenerate_row_sums_exact():
-    row = RowSpec(3, (FiniteDiscrete(((1.5, 1.0),)), FiniteDiscrete(((-0.5, 1.0),))))
+    row = RowSpec(3, ((FiniteDiscrete(((1.5, 1.0),)), 1), (FiniteDiscrete(((-0.5, 1.0),)), 1)))
     s = sample_sums(row, 100, seed=1)
     assert (s == 1.0).all()
 
@@ -86,7 +88,7 @@ def test_ks_interleaved_quantiles():
 
 def test_ks_from_the_limit_itself():
     g = Gaussian(0.0, 1.0)
-    row = RowSpec(1, (g,))
+    row = RowSpec(1, ((g, 1),))
     n = 100_000
     s = sample_sums_chunked(row, n, seed=42)
     dkw = math.sqrt(math.log(2.0 / 1e-3) / (2 * n))  # 0.0062 at delta = 1e-3
@@ -124,7 +126,7 @@ def test_ecf_examples():
 
 
 def test_ecf_of_gaussian_samples():
-    row = RowSpec(1, (Gaussian(0.0, 1.0),))
+    row = RowSpec(1, ((Gaussian(0.0, 1.0), 1),))
     s = sample_sums_chunked(row, 100_000, seed=4242)
     grid = [u / 2 for u in range(-10, 11)]
     assert ecf_distance(s, GaussianCF(0.0, 1.0), grid) <= 0.02
@@ -157,3 +159,83 @@ def test_named_limits():
     lim = translated_poisson_limit(1.0, 2.0)
     assert lim.cdf is not None
     assert abs(lim.cf(0.0) - 1.0) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Exact grouped sampling
+# ---------------------------------------------------------------------------
+
+RADEMACHER = FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5)))
+
+
+def dkw(n: int, delta: float = 1e-3) -> float:
+    return math.sqrt(math.log(2.0 / delta) / (2 * n))
+
+
+@pytest.mark.parametrize("m", [1, 7, 1000])
+def test_rademacher_group_is_binomial_on_its_lattice(m):
+    count = 20_000
+    s = sample_sums_chunked(RowSpec(m, ((RADEMACHER, m),)), count, seed=31)
+    assert np.array_equal(s, np.round(s))
+    assert ((s + m) % 2 == 0).all() and np.abs(s).max() <= m
+
+    # S = 2 Binomial(m, 1/2) - m; lattice points are compared exactly, so
+    # the CDF is also exact at the left limits ks_distance takes
+    lattice = np.arange(-m, m + 1, 2, dtype=np.float64)
+    cum = np.concatenate(([0.0], binom.cdf(np.arange(m + 1), m, 0.5)))
+
+    def cdf(x):
+        return cum[np.searchsorted(lattice, x, side="right")]
+
+    assert ks_distance(s, cdf) <= dkw(count)
+
+
+def test_gaussian_groups_draw_once_from_the_summed_law():
+    row = RowSpec(6, ((Gaussian(0.5, 1.0), 3), (Gaussian(-1.0, 2.0), 1), (Gaussian(0.0, 0.25), 2)))
+    mean, var = 0.5, 5.5  # sum of count * mean, sum of count * var
+    single = RowSpec(1, ((Gaussian(mean, var), 1),))
+    count = 20_000
+    s = sample_sums(row, count, seed=17)
+    assert s.tobytes() == sample_sums(single, count, seed=17).tobytes()
+    assert ks_distance((s - mean) / math.sqrt(var), std_normal_cdf) <= dkw(count)
+
+
+def mixed_group_row() -> RowSpec:
+    skew = FiniteDiscrete(((-0.5, 0.2), (0.25, 0.5), (3.0, 0.3)))
+    return RowSpec(
+        9, ((RADEMACHER, 4), (Gaussian(0.1, 0.5), 2), (Uniform(-1.0, 1.0), 2), (skew, 1))
+    )
+
+
+def test_mixed_groups_chunked_deterministic_and_order_free():
+    row = mixed_group_row()
+    count = 2 * SUBSTREAM_CHUNK + 700
+    ref = sample_sums_chunked(row, count, seed=5)
+    assert ref.tobytes() == sample_sums_chunked(row, count, seed=5).tobytes()
+    parts = {}
+    for j in (1, 2, 0):
+        start = j * SUBSTREAM_CHUNK
+        parts[j] = sample_sums(row, min(SUBSTREAM_CHUNK, count - start), 5, stream_id=j)
+    assert np.concatenate([parts[j] for j in sorted(parts)]).tobytes() == ref.tobytes()
+
+
+def test_mixed_groups_sample_the_row_law():
+    row = mixed_group_row()
+    count = 100_000
+    s = sample_sums_chunked(row, count, seed=6)
+    mean = math.fsum(c * d.mean() for d, c in row.components)
+    var = math.fsum(c * d.var() for d, c in row.components)
+    # 5 standard errors of the mean and of the variance (kurtosis below 3 here)
+    assert abs(s.mean() - mean) <= 5.0 * math.sqrt(var / count)
+    assert abs(s.var() - var) <= 5.0 * var * math.sqrt(2.0 / count)
+
+
+def test_ecf_over_distinct_values_matches_direct_mean():
+    rng = np.random.default_rng(3)
+    lattice = rng.integers(-5, 6, size=4000).astype(np.float64)
+    spread = rng.normal(size=4000)
+    grid = [-3.0, -0.7, 0.0, 0.4, 2.5]
+    for s in (lattice, spread):
+        direct = max(abs(complex(np.mean(np.exp(1j * u * s))) - eval_cf(GaussianCF(0.0, 1.0), u))
+                     for u in grid)
+        assert ecf_distance(s, GaussianCF(0.0, 1.0), grid) == pytest.approx(direct, abs=1e-13)
