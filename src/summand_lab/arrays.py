@@ -301,6 +301,62 @@ def phi2(w: complex) -> complex:
     return (cmath.exp(w) - 1.0 - w) / (w * w)
 
 
+#: angle-addition steps between exact re-seeds in exp_sums: each step adds
+#: about one rounding (1e-16 relative) to every term, so no term drifts by
+#: more than a few 1e-15 before it is seeded again
+_RESEED_EVERY = 32
+#: a grid counts as arithmetic when no point is off u_0 + k h by more than
+#: this much phase at the largest |x|
+_PHASE_TOL = 1e-12
+
+
+def grid_step(u: np.ndarray, x_max: float) -> float | None:
+    """The step h of an arithmetic grid, or None for any other grid.
+
+    A grid of two or more points is arithmetic when every u_k lies within
+    _PHASE_TOL / x_max of u_0 + k h, h = (u_last - u_0) / (len(u) - 1): the
+    phases u_k x, |x| <= x_max, then differ from u_0 x + k h x by at most
+    _PHASE_TOL.
+    """
+    if u.size < 2:
+        return None
+    h = (u[-1] - u[0]) / (u.size - 1)
+    off = np.max(np.abs(u - (u[0] + h * np.arange(u.size))))
+    return float(h) if off * x_max <= _PHASE_TOL else None
+
+
+def exp_sums(u_grid, x, w) -> np.ndarray:
+    """sum_j w_j e^{i u_k x_j} for every grid point u_k, as a complex array.
+
+    On an arithmetic grid (u_k = u_0 + k h up to _PHASE_TOL of phase) the
+    terms advance by angle addition, z <- z e^{ihx}, one complex multiply per
+    point, and are re-seeded exactly from cos/sin every _RESEED_EVERY points;
+    any other grid is seeded at every point. The weighted sum is one complex
+    BLAS dot per point (it keeps several partial sums, so it rounds less than
+    a real (n, 2) matrix-vector product), and temporaries stay the size of x.
+    """
+    u = np.asarray(u_grid, dtype=np.float64).ravel()
+    x = np.asarray(x, dtype=np.float64).ravel()
+    w = np.asarray(w, dtype=np.complex128).ravel()
+    out = np.empty(u.size, dtype=np.complex128)
+    h = grid_step(u, float(np.max(np.abs(x), initial=0.0)))
+    if h is None:
+        reseed = 1
+    else:
+        reseed, step = _RESEED_EVERY, np.exp(1j * (h * x))
+    z = np.empty(x.size, dtype=np.complex128)
+    angle = np.empty(x.size)
+    for k in range(u.size):
+        if k % reseed == 0:
+            np.multiply(u[k], x, out=angle)
+            np.cos(angle, out=z.real)
+            np.sin(angle, out=z.imag)
+        else:
+            z *= step
+        out[k] = w @ z
+    return out
+
+
 def _sinc(z: float) -> float:
     if abs(z) < 1e-4:
         z2 = z * z

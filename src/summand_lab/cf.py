@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulation import AccumMeasure, measure_from_json, measure_to_json
+from .arrays import exp_sums
 
 
 class CharFnError(ValueError):
@@ -186,11 +187,7 @@ def eval_cf(spec: CharFn, t: float) -> complex:
     if isinstance(spec, CauchyCF):
         return cmath.exp(complex(-spec.scale * abs(t), spec.loc * t))
     if isinstance(spec, PoissonTypeProduct):
-        expo = 0.0j
-        for term in spec.terms:
-            expo += 1j * (term.shift - term.drift) * t
-            expo += term.intensity * (cmath.exp(1j * term.site * t) - 1.0)
-        return cmath.exp(expo)
+        return cmath.exp(complex(product_exponent(spec, (t,))[0]))
     if isinstance(spec, KolmogorovCF):
         from .exponent import exponent_eval  # deferred: exponent imports this module
 
@@ -206,6 +203,21 @@ def eval_cf(spec: CharFn, t: float) -> complex:
     if isinstance(spec, ConjugateCF):
         return eval_cf(spec.base, t).conjugate()
     raise TypeError(f"unknown characteristic-function type {type(spec).__name__}")
+
+
+def product_exponent(spec: PoissonTypeProduct, u_grid) -> np.ndarray:
+    """Log of a Poisson-type product on a u-grid, as a complex array:
+    sum_j intensity_j (e^{iu site_j} - 1) + iu sum_j (shift_j - drift_j).
+    """
+    sites = np.array([term.site for term in spec.terms], dtype=np.float64)
+    intensities = np.array([term.intensity for term in spec.terms], dtype=np.float64)
+    net_shift = math.fsum(term.shift - term.drift for term in spec.terms)
+    u = np.asarray(u_grid, dtype=np.float64)
+    expo = exp_sums(u, sites, intensities) - math.fsum(intensities)
+    # the real part, sum_j intensity_j (cos(u site_j) - 1), is <= 0; summed
+    # as two totals it can round a few ulps above, and |product| would pass 1
+    np.minimum(expo.real, 0.0, out=expo.real)
+    return expo + 1j * net_shift * u
 
 
 def pth_root(spec: CharFn, p: int) -> CharFn:

@@ -12,9 +12,11 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .accumulation import AccumMeasure
 from .arrays import phi2
-from .cf import CharFn, KolmogorovCF, PoissonTypeProduct, PoissonTypeTerm, eval_cf
+from .cf import CharFn, KolmogorovCF, PoissonTypeProduct, PoissonTypeTerm, product_exponent
 
 
 class MeshRefinementError(ValueError):
@@ -110,12 +112,15 @@ def poisson_product_approx(
     prod = PoissonTypeProduct(tuple(terms))
 
     def sup_error(u_grid: Sequence[float]) -> float:
-        worst = 0.0
-        for u in u_grid:
-            approx = eval_cf(prod, float(u))
-            exact = cmath.exp(exponent_eval(measure, float(u)))
-            worst = max(worst, abs(approx - exact))
-        return worst
+        """max over the grid of |product(u) - exp(Psi(u))|.
+
+        The product's exponent comes from exp_sums over the whole grid (angle
+        addition with exact re-seeding, accurate to about 1e-13 of the total
+        intensity); Psi stays one scalar evaluation per u.
+        """
+        approx = np.exp(product_exponent(prod, u_grid))
+        exact = [cmath.exp(exponent_eval(measure, float(u))) for u in u_grid]
+        return float(np.max(np.abs(approx - exact), initial=0.0))
 
     return prod, sup_error
 

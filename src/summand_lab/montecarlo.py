@@ -4,8 +4,10 @@ Row sums are sampled from Philox counter-based substreams keyed by
 (seed, stream_id), so any fixed chunking of the work reproduces bit-identical
 output regardless of how many workers execute the chunks. Distances to the
 predicted limit: exact one-sample Kolmogorov-Smirnov over the distinct sample
-values and the max empirical-characteristic-function gap on a u-grid. For Bernoulli
-rows the binomial-vs-Poisson total variation is computed exactly from pmfs.
+values, and the max empirical-characteristic-function gap on a u-grid, whose
+empirical side is arrays.exp_sums over the whole grid (angle addition with
+exact re-seeding, accurate to about 1e-13). For Bernoulli rows the
+binomial-vs-Poisson total variation is computed exactly from pmfs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .arrays import ArrayGenerator, ComponentDist, FiniteDiscrete, Gaussian, RowSpec
+from .arrays import ArrayGenerator, ComponentDist, FiniteDiscrete, Gaussian, RowSpec, exp_sums
 from .cf import CharFn, GaussianCF, TranslatedPoissonCF, eval_cf
 
 #: samples per logical substream; chunk j of row index i draws from
@@ -93,44 +95,55 @@ def sample_sums_chunked(
 # ---------------------------------------------------------------------------
 
 
-def ks_distance(samples: Sequence[float], limit_cdf: Callable) -> float:
+def ks_distance(
+    samples: Sequence[float], limit_cdf: Callable, lattice: float | None = None
+) -> float:
     """sup_x |ECDF(x) - F(x)|, exact for continuous and step CDFs alike.
 
     Between consecutive distinct sample values the ECDF is constant and F is
     monotone, so the supremum is reached at a sample value x (ECDF(x) against
     F(x)) or just below one (ECDF(x-) against the left limit F(x-)). F(x-) is
     F at the next double below x: exact for a CDF evaluated in floating point.
+
+    A lattice offset b says that F jumps only on b + Z (a translated Poisson
+    limit). Row sums reach that lattice only up to rounding, so here a sample
+    within 1e-9 max(1, |x|) of a lattice point counts as that point, and F(x)
+    and F(x-) at a lattice point are read half a step to either side, where
+    F is flat and a rounding in the CDF's own arithmetic cannot move a step.
     """
-    s = np.sort(np.asarray(samples, dtype=np.float64))
-    n = s.size
-    if n == 0:
+    s = np.asarray(samples, dtype=np.float64)
+    if s.size == 0:
         raise ValueError("samples must be nonempty")
-    values, first = np.unique(s, return_index=True)
+    if lattice is not None:
+        point = lattice + np.round(s - lattice)
+        s = np.where(np.abs(s - point) <= 1e-9 * np.maximum(1.0, np.abs(s)), point, s)
+    values, first = np.unique(np.sort(s), return_index=True)
+    n = s.size
     below = first / n
     at = np.append(first[1:], n) / n
-    f = np.asarray(limit_cdf(values), dtype=np.float64)
-    f_left = np.asarray(limit_cdf(np.nextafter(values, -np.inf)), dtype=np.float64)
+    x_at, x_left = values, np.nextafter(values, -np.inf)
+    if lattice is not None:
+        on = values == lattice + np.round(values - lattice)
+        x_at, x_left = np.where(on, values + 0.5, x_at), np.where(on, values - 0.5, x_left)
+    f = np.asarray(limit_cdf(x_at), dtype=np.float64)
+    f_left = np.asarray(limit_cdf(x_left), dtype=np.float64)
     return float(max(np.max(np.abs(at - f)), np.max(np.abs(below - f_left))))
 
 
 def ecf_distance(samples: Sequence[float], limit_cf: CharFn, u_grid: Sequence[float]) -> float:
     """max over the grid of |mean e^{iuS} - limit(u)|.
 
-    The mean runs over the distinct sample values weighted by their
-    frequencies, one u at a time: lattice sums have few distinct values, and
-    the temporaries stay the size of the sample.
+    The empirical mean is exp_sums over the distinct sample values weighted
+    by their frequencies, for the whole grid at once: angle addition with
+    exact re-seeding, accurate to about 1e-13. Lattice sums have few distinct
+    values, and the temporaries stay the size of the sample.
     """
     s = np.asarray(samples, dtype=np.float64)
     if s.size == 0 or len(u_grid) == 0:
         raise ValueError("samples and u_grid must be nonempty")
     values, counts = np.unique(s, return_counts=True)
-    weights = counts / s.size
-    worst = 0.0
-    for u in u_grid:
-        angle = float(u) * values
-        emp = complex(weights @ np.cos(angle), weights @ np.sin(angle))
-        worst = max(worst, abs(emp - eval_cf(limit_cf, float(u))))
-    return worst
+    emp = exp_sums(u_grid, values, counts / s.size)
+    return max(abs(complex(e) - eval_cf(limit_cf, float(u))) for u, e in zip(u_grid, emp))
 
 
 def std_normal_cdf(x):
@@ -192,6 +205,7 @@ class NamedLimit:
     label: str
     cf: CharFn
     cdf: Callable | None
+    lattice: float | None = None  # offset b when the CDF jumps only on b + Z
 
 
 def std_gaussian_limit() -> NamedLimit:
@@ -203,6 +217,7 @@ def translated_poisson_limit(b: float, lam: float) -> NamedLimit:
         f"translated_poisson(b={b!r}, lambda={lam!r})",
         TranslatedPoissonCF(b, lam),
         translated_poisson_cdf(b, lam),
+        lattice=b,
     )
 
 
@@ -246,7 +261,7 @@ def run_simulation(plan: SimulationPlan, keep_samples: bool = False):
     for i, n in enumerate(plan.n_list):
         row = plan.generator.row(n)
         s = sample_sums_chunked(row, plan.samples_per_n, plan.seed, base_stream=i << 32)
-        ks = None if plan.limit.cdf is None else ks_distance(s, plan.limit.cdf)
+        ks = None if plan.limit.cdf is None else ks_distance(s, plan.limit.cdf, plan.limit.lattice)
         ecf = ecf_distance(s, plan.limit.cf, plan.u_grid)
         results.append(SimResult(n, ks, ecf, plan.samples_per_n, plan.seed))
         if keep_samples:

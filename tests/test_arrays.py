@@ -23,7 +23,14 @@ from summand_lab import (
     lindeberg_poisson,
     row_statistics,
 )
-from summand_lab.arrays import component_to_json, generator_from_json, generator_to_json
+from summand_lab.arrays import (
+    component_to_json,
+    exp_sums,
+    generator_from_json,
+    generator_to_json,
+    grid_step,
+)
+from summand_lab.cli import _parse_u_grid
 from summand_lab.montecarlo import sample_sums
 
 
@@ -340,3 +347,68 @@ def test_equal_components_merge(rademacher):
     row = RowSpec(5, ((rademacher, 2), (Uniform(0.0, 1.0), 1), (twin, 2)))
     assert row.components == ((rademacher, 4), (Uniform(0.0, 1.0), 1))
     assert row.k() == 5
+
+
+# ---------------------------------------------------------------------------
+# Weighted exponential sums on a u-grid
+# ---------------------------------------------------------------------------
+
+
+def _direct_exp_sums(u, x, w):
+    return np.exp(1j * np.outer(u, x)) @ np.asarray(w, dtype=np.float64)
+
+
+def _frequencies(s):
+    values, counts = np.unique(s, return_counts=True)
+    return values, counts / s.size
+
+
+_RNG = np.random.default_rng(11)
+_CONTINUOUS = _frequencies(_RNG.normal(size=3000))
+_LATTICE = _frequencies(_RNG.binomial(40, 0.3, size=3000).astype(np.float64) - 12.0)
+_ARITHMETIC = _parse_u_grid({"start": -5.0, "stop": 5.0, "step": 0.1}, "/u_grid")
+
+
+@pytest.mark.parametrize(
+    "u,data",
+    [
+        (_ARITHMETIC, _CONTINUOUS),
+        (_ARITHMETIC, _LATTICE),
+        ((-3.0, -0.7, 0.0, 0.4, 2.5, 11.0), _CONTINUOUS),
+        ((1.7,), _LATTICE),
+    ],
+    ids=["continuous", "lattice", "list-grid", "one-point"],
+)
+def test_exp_sums_matches_direct_sum(u, data):
+    x, w = data
+    got = exp_sums(u, x, w)
+    assert got.shape == (len(u),)
+    assert np.max(np.abs(got - _direct_exp_sums(u, x, w))) <= 1e-12
+
+
+def test_exp_sums_reseeding_bounds_the_drift():
+    # angle addition alone drifts by about 1e-16 per step (4e-13 after 1e4
+    # steps for one term at x = 0.7); re-seeding every few dozen steps keeps
+    # the whole 10001-point grid at the accuracy of a short one
+    u = np.linspace(-50.0, 50.0, 10001)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-2.0, 2.0, 50)
+    w = rng.random(50)
+    w /= w.sum()
+    assert grid_step(u, 2.0) == pytest.approx(0.01, rel=1e-12)
+    assert np.max(np.abs(exp_sums(u, x, w) - _direct_exp_sums(u, x, w))) <= 1e-12
+    one = exp_sums(u, [0.7], [1.0])
+    assert np.max(np.abs(one - np.exp(0.7j * u))) <= 1e-13
+
+
+def test_grid_step_tells_arithmetic_grids_apart():
+    u = np.asarray(_ARITHMETIC)
+    assert grid_step(u, 1e3) == pytest.approx(0.1, rel=1e-12)
+    assert grid_step(np.array([-3.0, -0.7, 0.0, 0.4, 2.5]), 1.0) is None
+    assert grid_step(np.array([1.7]), 1.0) is None
+    # a point off the line by more than 1e-12 of phase at the largest |x|
+    bent = u.copy()
+    bent[40] += 1e-11
+    assert grid_step(bent, 1.0) is None
+    assert grid_step(bent, 1e-2) == pytest.approx(0.1, rel=1e-9)
+

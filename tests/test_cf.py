@@ -271,3 +271,55 @@ def test_json_round_trip_random_specs(spec):
     again = from_json(json.loads(text))
     assert again == spec
     assert json.dumps(to_json(again)) == text
+
+
+# ---------------------------------------------------------------------------
+# p-th root algebra on random specs
+# ---------------------------------------------------------------------------
+
+_loc = st.floats(-10.0, 10.0)
+_scale = st.floats(1e-3, 10.0)
+_terms = st.builds(
+    PoissonTypeTerm,
+    st.floats(-5.0, 5.0),
+    st.floats(0.0, 5.0),
+    st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0)),
+    st.floats(-5.0, 5.0),
+)
+_small_measures = st.builds(
+    lambda atoms, pieces: AccumMeasure(atoms=tuple(atoms), pieces=tuple(pieces)),
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)), max_size=4),
+    st.lists(st.tuples(st.floats(0.0, 3.0), _pieces), max_size=2),
+)
+_rootable = st.one_of(
+    st.builds(Degenerate, _loc),
+    st.builds(GaussianCF, _loc, st.floats(0.0, 10.0)),
+    st.builds(TranslatedPoissonCF, _loc, _scale),
+    st.builds(GammaCF, st.floats(1e-2, 10.0), st.floats(1e-2, 10.0)),
+    st.builds(CauchyCF, _loc, _scale),
+    st.builds(PoissonTypeProduct, st.lists(_terms, max_size=5).map(tuple)),
+    st.builds(KolmogorovCF, st.floats(-5.0, 5.0), _small_measures),
+)
+_roots = st.integers(1, 6)
+_u = st.floats(-20.0, 20.0)
+_ROOT_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@_ROOT_SETTINGS
+@given(_rootable, _roots, _u)
+def test_pth_root_power_recovers_the_cf(spec, p, u):
+    assert abs(eval_cf(pth_root(spec, p), u) ** p - eval_cf(spec, u)) <= 1e-12
+
+
+@_ROOT_SETTINGS
+@given(_rootable, _roots, _roots, _u)
+def test_nested_roots_compose(spec, p, q, u):
+    nested = pth_root(pth_root(spec, p), q)
+    assert abs(eval_cf(nested, u) - eval_cf(pth_root(spec, p * q), u)) <= 1e-12
+
+
+@_ROOT_SETTINGS
+@given(_rootable, _roots, _u)
+def test_pth_root_is_a_cf_bounded_by_one(spec, p, u):
+    # the exponent's real part is <= 0; abs() of e^{iy} itself may round up an ulp
+    assert abs(eval_cf(pth_root(spec, p), u)) <= 1.0 + 1e-15

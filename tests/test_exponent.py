@@ -271,6 +271,27 @@ def test_refinement_chain_monotone_on_continuous_measure():
     assert errs[0] > errs[1] > errs[2]
 
 
+def _product_per_u(prod, u):
+    """The scalar reference: the product's exponent summed term by term."""
+    expo = 0j
+    for term in prod.terms:
+        expo += 1j * (term.shift - term.drift) * u
+        expo += term.intensity * (cmath.exp(1j * term.site * u) - 1.0)
+    return cmath.exp(expo)
+
+
+@pytest.mark.parametrize("cells", [48, 768])
+def test_sup_error_matches_per_u_product(cells):
+    m = AccumMeasure(atoms=((-0.6, 0.36), (0.6, 0.36)), pieces=((1.0, Uniform(-1.0, 1.0)),))
+    mesh = [-1.5 + 3.0 * i / cells for i in range(cells + 1)]
+    prod, sup_err = poisson_product_approx(m, 1.5, mesh)
+    for grid in (tuple(-5.0 + 0.1 * i for i in range(101)), (-4.2, -0.3, 0.0, 1.1, 3.7)):
+        want = max(abs(_product_per_u(prod, u) - cmath.exp(exponent_eval(m, u))) for u in grid)
+        assert sup_err(grid) == pytest.approx(want, abs=1e-12)
+        for u in grid[::7]:
+            assert abs(eval_cf(prod, u) - _product_per_u(prod, u)) <= 1e-12
+
+
 def test_balanced_straddling_cell_rejected(rademacher_gen):
     m = build_accum(rademacher_gen.row(4), center=False)  # atoms at +-0.5
     with pytest.raises(MeshRefinementError, match="refine mesh"):

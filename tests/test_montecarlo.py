@@ -7,7 +7,9 @@ import pytest
 from scipy.stats import binom, poisson
 
 from summand_lab import (
+    BernoulliPoisson,
     Degenerate,
+    ExplicitArray,
     FiniteDiscrete,
     GaussianCF,
     Gaussian,
@@ -239,3 +241,38 @@ def test_ecf_over_distinct_values_matches_direct_mean():
         direct = max(abs(complex(np.mean(np.exp(1j * u * s))) - eval_cf(GaussianCF(0.0, 1.0), u))
                      for u in grid)
         assert ecf_distance(s, GaussianCF(0.0, 1.0), grid) == pytest.approx(direct, abs=1e-13)
+
+
+def _ecf_distance_per_u(samples, limit_cf, u_grid):
+    """The per-u reference: cos/sin over the distinct values at each u."""
+    values, counts = np.unique(samples, return_counts=True)
+    weights = counts / samples.size
+    return max(
+        abs(complex(weights @ np.cos(u * values), weights @ np.sin(u * values)) - eval_cf(limit_cf, u))
+        for u in u_grid
+    )
+
+
+def test_ecf_on_an_arithmetic_grid_matches_the_per_u_mean(rademacher_gen):
+    grid = tuple(-5.0 + 0.1 * i for i in range(101))
+    spread = sample_sums_chunked(RowSpec(1, ((Gaussian(0.0, 1.0), 1),)), 20_000, seed=21)
+    lattice = sample_sums_chunked(rademacher_gen.row(64), 20_000, seed=22)
+    for s in (spread, lattice):
+        want = _ecf_distance_per_u(s, GaussianCF(0.0, 1.0), grid)
+        assert ecf_distance(s, GaussianCF(0.0, 1.0), grid) == pytest.approx(want, abs=1e-12)
+
+
+def test_ks_centered_bernoulli_sums_against_translated_poisson():
+    # centered Bernoulli(1/100) sums land on -1 + Z only up to rounding (a few
+    # ulps below some lattice points); each must still count as its lattice
+    # point, on both sides of the step
+    row = BernoulliPoisson(1.0).row(100).centered()
+    s = sample_sums_chunked(row, 20_000, seed=3)
+    assert not np.array_equal(s, np.round(s))
+    limit = translated_poisson_limit(-1.0, 1.0)
+    ks = ks_distance(s, limit.cdf, limit.lattice)
+    assert ks == pytest.approx(ks_distance(np.round(s) + 1.0, translated_poisson_cdf(0.0, 1.0)), abs=1e-15)
+    assert ks <= 0.02
+    # run_simulation hands the limit's lattice to the KS
+    plan = SimulationPlan(ExplicitArray((row,)), (100,), 20_000, seed=3, u_grid=(1.0,), limit=limit)
+    assert run_simulation(plan)[0][0].ks == ks
