@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .arrays import ComponentDist, FiniteDiscrete, RowSpec, component_from_json, component_to_json
+from .jsontext import json_text
 
 #: accumulation-measure atom sites closer than this are merged into one
 ATOM_MERGE = 1e-14
@@ -275,4 +275,4 @@ def export_measure_csv(m: AccumMeasure) -> tuple[str, str]:
     for site, mass in m.atoms:
         w.writerow([repr(site), repr(mass)])
     header = {"total_mass": m.total_mass, "n": m.row_n, "centered": m.centered}
-    return buf.getvalue(), json.dumps(header, indent=2) + "\n"
+    return buf.getvalue(), json_text(header) + "\n"

@@ -31,7 +31,8 @@ from .arrays import ArraySpecError, generator_from_json, hypothesis_check
 from .cf import CharFnError, from_json as cf_from_json, to_json as cf_to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .criteria import VerdictReport, gaussian_verdict, general_verdict, poisson_verdict
-from .exponent import exponent_eval, poisson_product_approx
+from .exponent import exp_psi, exponent_eval, poisson_product_approx
+from .jsontext import json_text
 from .montecarlo import (
     SimulationPlan,
     cf_only_limit,
@@ -366,10 +367,11 @@ def _run_poisson_approx(cfg, tolerances, seed):
         raise ConfigError("/mesh_cells: expected a nonempty list of integers >= 2")
     rows = []
     last_product = None
+    target = exp_psi(measure, u_grid)
     for count in cells:
         mesh = [-window + 2.0 * window * i / count for i in range(count + 1)]
         product, sup_error = poisson_product_approx(measure, window, mesh)
-        rows.append([count, sup_error(u_grid)])
+        rows.append([count, sup_error(u_grid, target)])
         last_product = product
     tables = [("tables/approx_error.csv", ["mesh_cells", "sup_error"], rows)]
     plots = [
@@ -386,7 +388,7 @@ def _run_poisson_approx(cfg, tolerances, seed):
     extra = [
         (
             "poisson_product.json",
-            json.dumps(cf_to_json(last_product), indent=2) + "\n",
+            json_text(cf_to_json(last_product)) + "\n",
         )
     ]
     results = {"errors": {str(r[0]): r[1] for r in rows}, "terms": len(last_product.terms)}
@@ -575,7 +577,7 @@ def main(argv=None) -> int:
             "results": results,
             "artifacts": artifacts,
         }
-        tracker.write("report.json", json.dumps(report, indent=2, allow_nan=False) + "\n")
+        tracker.write("report.json", json_text(report) + "\n")
     except (ConfigError, ArraySpecError, CharFnError) as exc:
         tracker.cleanup()
         print(f"config error: {exc}", file=sys.stderr)

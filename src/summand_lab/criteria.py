@@ -27,7 +27,6 @@ from .arrays import (
     HypothesisReport,
     RowSpec,
     hypothesis_check,
-    row_statistics,
 )
 from .cf import CharFn, GaussianCF, to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
@@ -205,6 +204,14 @@ def _validate_n_list(n_list) -> tuple[int, ...]:
     return n_list
 
 
+def _validate_eps_list(eps_list) -> tuple[float, ...]:
+    # a verdict with no eps would skip its tail checks and pass on less evidence
+    eps_list = tuple(float(e) for e in eps_list)
+    if not eps_list:
+        raise ValueError("eps_list must be nonempty")
+    return eps_list
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def gaussian_verdict(
     """Standard-normal limit: unit variance sum, vanishing Lindeberg tails,
     vanishing max variance. Rows must be centered."""
     n_list = _validate_n_list(n_list)
-    eps_list = tuple(float(e) for e in eps_list)
+    eps_list = _validate_eps_list(eps_list)
     rows = [gen.row(n) for n in n_list]
     for row in rows:
         for i, (d, count) in enumerate(row.components):
@@ -230,10 +237,7 @@ def gaussian_verdict(
                 )
 
     hyp = hypothesis_check(gen, n_list, eps_list, c_target=1.0, tol=tolerances.exact_stat)
-    stats = [row_statistics(r, eps_list[0]) for r in rows]
-    mv = tuple(s.mv for s in stats)
-    b = tuple(s.b for s in stats)
-    a = tuple(s.a for s in stats)
+    mv, b, a = hyp.mv, hyp.b, hyp.a
 
     checks = [
         _level("GC0 normalization", "|MV(n) - 1|", [abs(x - 1.0) for x in mv], tolerances.exact_stat),
@@ -264,16 +268,13 @@ def poisson_verdict(
     """Translated-Poisson limit b + Poisson(lam): vanishing max variance,
     variance sum to lam, drift sum to b + lam, vanishing Poisson tails."""
     n_list = _validate_n_list(n_list)
-    eps_list = tuple(float(e) for e in eps_list)
+    eps_list = _validate_eps_list(eps_list)
     b_target, lam = float(target[0]), float(target[1])
     if lam <= 0.0:
         raise ValueError("target lambda must be positive")
     rows = [gen.row(n) for n in n_list]
     hyp = hypothesis_check(gen, n_list, eps_list, c_target=lam, tol=tolerances.exact_stat)
-    stats = [row_statistics(r, eps_list[0]) for r in rows]
-    mv = tuple(s.mv for s in stats)
-    bvals = tuple(s.b for s in stats)
-    avals = tuple(s.a for s in stats)
+    mv, bvals, avals = hyp.mv, hyp.b, hyp.a
 
     checks = [
         _trend("max-variance", "B_n", bvals, tolerances.exact_stat),
@@ -310,13 +311,12 @@ def general_verdict(
     """Canonical limit via the centered accumulation measures: pre-weak grid
     distance, the total-mass gap (the weak upgrade), and the drift trend."""
     n_list = _validate_n_list(n_list)
-    eps_list = tuple(float(e) for e in eps_list)
+    eps_list = _validate_eps_list(eps_list)
     rows = [gen.row(n) for n in n_list]
     hyp = hypothesis_check(gen, n_list, eps_list, c_target=limit.total(), tol=tolerances.coarse_stat)
     measures = [build_accum(r, center=True) for r in rows]
     dists = preweak_distance(measures, limit, grid)
-    stats = [row_statistics(r, eps_list[0]) for r in rows]
-    avals = tuple(s.a for s in stats)
+    avals = hyp.a
 
     sup_dev = tuple(d.sup_deviation for d in dists)
     mass_gap = tuple(d.mass_gap for d in dists)
@@ -336,8 +336,8 @@ def general_verdict(
             "a": avals,
             "sup_deviation": sup_dev,
             "mass_gap": mass_gap,
-            "mv": tuple(s.mv for s in stats),
-            "b": tuple(s.b for s in stats),
+            "mv": hyp.mv,
+            "b": hyp.b,
         },
         {},
         checks,

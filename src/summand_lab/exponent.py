@@ -54,6 +54,11 @@ def curvature_check(measure: AccumMeasure, h: float = 1e-4) -> CurvatureCheck:
     return CurvatureCheck((plus + minus) / (h * h), -measure.total_mass)
 
 
+def exp_psi(measure: AccumMeasure, u_grid: Sequence[float]) -> np.ndarray:
+    """exp(Psi(u)) at every grid point, one scalar Psi evaluation per u."""
+    return np.array([cmath.exp(exponent_eval(measure, u)) for u in u_grid], dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # Poisson-type product approximation
 # ---------------------------------------------------------------------------
@@ -111,15 +116,19 @@ def poisson_product_approx(
         terms.append(PoissonTypeTerm(drift=mass / c, intensity=mass / (c * c), site=c))
     prod = PoissonTypeProduct(tuple(terms))
 
-    def sup_error(u_grid: Sequence[float]) -> float:
+    def sup_error(u_grid: Sequence[float], target=None) -> float:
         """max over the grid of |product(u) - exp(Psi(u))|.
 
+        ``target`` is exp(Psi) on the grid, exp_psi(measure, u_grid); pass it
+        when several meshes share one grid, so Psi is evaluated once per u.
         The product's exponent comes from exp_sums over the whole grid (angle
         addition with exact re-seeding, accurate to about 1e-13 of the total
-        intensity); Psi stays one scalar evaluation per u.
+        intensity).
         """
         approx = np.exp(product_exponent(prod, u_grid))
-        exact = [cmath.exp(exponent_eval(measure, float(u))) for u in u_grid]
+        exact = exp_psi(measure, u_grid) if target is None else np.asarray(target)
+        if exact.shape != approx.shape:
+            raise ValueError(f"target has shape {exact.shape}; the u-grid needs {approx.shape}")
         return float(np.max(np.abs(approx - exact), initial=0.0))
 
     return prod, sup_error

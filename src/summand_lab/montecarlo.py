@@ -151,21 +151,30 @@ def std_normal_cdf(x):
 
 
 def translated_poisson_cdf(b: float, lam: float) -> Callable:
-    """CDF of b + Poisson(lam); pmf by the stable upward recursion."""
+    """CDF of b + Poisson(lam); pmf by the stable upward recursion.
+
+    The jumps sit at the doubles b + k as floating point computes them, so
+    F(x) is the mass of the k with b + k <= x. floor(x - b) alone can miss
+    by one where x - b rounds across an integer: at x = b + 2 for b = 0.3,
+    x - b is 1.9999999999999998.
+    """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
 
     def cdf(x):
         x = np.asarray(x, dtype=np.float64)
-        kmax = int(np.floor(np.max(x) - b)) if x.size else -1
+        k = np.floor(x - b)
+        k += b + (k + 1.0) <= x
+        k -= b + k > x
+        kmax = int(np.max(k)) if x.size else -1
         if kmax < 0:
             return np.zeros_like(x)
         pmf = np.empty(kmax + 1)
         pmf[0] = math.exp(-lam)
-        for k in range(kmax):
-            pmf[k + 1] = pmf[k] * lam / (k + 1)
+        for j in range(kmax):
+            pmf[j + 1] = pmf[j] * lam / (j + 1)
         cum = np.concatenate(([0.0], np.cumsum(pmf)))
-        idx = np.clip(np.floor(x - b).astype(np.int64) + 1, 0, kmax + 1)
+        idx = np.clip(k.astype(np.int64) + 1, 0, kmax + 1)
         return cum[idx]
 
     return cdf

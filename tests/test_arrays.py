@@ -262,6 +262,54 @@ def test_sampler_determinism(rademacher_gen):
     assert a.tobytes() != c.tobytes()
 
 
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=np.array([key, 7], dtype=np.uint64)))
+
+
+def _searchsorted_sample(dist, rng, size):
+    """The binary-search inversion that FiniteDiscrete.sample must reproduce."""
+    sites = np.array([x for x, _ in dist.atoms])
+    cum = np.cumsum([p for _, p in dist.atoms])
+    idx = np.searchsorted(cum, rng.random(size), side="right")
+    return sites[np.minimum(idx, len(sites) - 1)]
+
+
+def _atoms(probs):
+    return tuple((float(i) - 0.5 * len(probs), p) for i, p in enumerate(probs))
+
+
+_many = np.random.default_rng(5).random(200)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (1.0,),
+        (0.5, 0.5),
+        (0.1, 0.2, 0.3, 0.15, 0.25),
+        tuple(_many[:40] / _many[:40].sum()),  # above the comparison cut-off
+        tuple(_many / _many.sum()),
+        (0.0, 0.5, 0.0, 0.5, 0.0),  # zero-probability atoms, first and last too
+        (0.0, 1.0),
+        (0.25, 0.25, 0.5 - 0.9e-12),  # sums 1 - 1e-12: the last atom takes the gap
+        (0.25, 0.25, 0.5 + 0.9e-12),
+    ],
+)
+@pytest.mark.parametrize("size", [1, 1000, 16384])
+def test_finite_discrete_sample_matches_searchsorted(probs, size):
+    dist = FiniteDiscrete(_atoms(probs))
+    for key in (1, 2, 3):
+        got_rng, ref_rng = _philox(key), _philox(key)
+        got = dist.sample(got_rng, size)
+        ref = _searchsorted_sample(dist, ref_rng, size)
+        assert got.tobytes() == ref.tobytes()
+        # the same uniforms were consumed: the streams continue in step
+        assert got_rng.random() == ref_rng.random()
+    zero = [x for x, p in dist.atoms if p == 0.0]
+    if zero:
+        assert not np.isin(dist.sample(_philox(9), 20000), zero).any()
+
+
 def test_gaussian_sampler_moments():
     g = Gaussian(2.0, 9.0)
     s = g.sample(np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64))), 200_000)

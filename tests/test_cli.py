@@ -3,9 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from summand_lab import row_statistics
+from summand_lab.arrays import generator_from_json
 from summand_lab.cli import main
 from summand_lab.svgplot import PlotError, line_plot_svg
 
@@ -160,6 +163,83 @@ def test_partial_outputs_removed_on_error(tmp_path, capsys):
     assert main(["--config", cfg, "--out-dir", str(out)]) == 3
     assert "discontinuity" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_report_value_exits_3(tmp_path, capsys, literal):
+    # Python's JSON reader accepts these literals; report.json embeds the
+    # config, so the value reaches the writer, which has no form for it
+    p = tmp_path / "hyp.json"
+    p.write_text(
+        '{"task": "hypotheses", "array": %s, "n_list": [10, 100], "eps_list": [0.5], '
+        '"c_target": %s}' % (json.dumps(RADEMACHER_ARRAY), literal)
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out-dir", str(out), "--quiet"]) == 3
+    assert "Out of range float values" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _explicit_array(ns, seed):
+    """Rows of distinct centered components, a third of each family, with
+    variances summing to 1 per row."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in ns:
+        var = rng.uniform(0.5, 1.5, n)
+        var /= var.sum()
+        comps = []
+        for i, v in enumerate(var):
+            if i % 3 == 0:
+                p = rng.uniform(0.2, 0.8)
+                s = math.sqrt(v)
+                atoms = [[-s * math.sqrt(p / (1.0 - p)), 1.0 - p], [s * math.sqrt((1.0 - p) / p), p]]
+                comps.append({"kind": "finite_discrete", "atoms": atoms})
+            elif i % 3 == 1:
+                comps.append({"kind": "gaussian", "mean": 0.0, "var": float(v)})
+            else:
+                h = math.sqrt(3.0 * v)
+                comps.append({"kind": "uniform", "lo": -h, "hi": h})
+        rows.append({"n": n, "components": comps})
+    return {"generator": "explicit", "rows": rows}
+
+
+def test_explicit_rows_report_is_stable(tmp_path):
+    ns, eps_list = [60, 90, 150], [0.05, 0.1, 0.5]
+    array = _explicit_array(ns, seed=3)
+    configs = {
+        "verdict": {"task": "verdict-gaussian", "array": array, "n_list": ns, "eps_list": eps_list},
+        "simulate": {
+            "task": "simulate", "array": array, "n_list": [60, 150], "samples_per_n": 2000,
+            "seed": 5, "u_grid": {"start": -2.0, "stop": 2.0, "step": 0.5},
+            "limit": {"kind": "std_gaussian"}, "dump_samples": True,
+        },
+    }
+    reports = {}
+    for name, cfg in configs.items():
+        out = tmp_path / name
+        code = main(["--config", write_config(tmp_path, f"{name}.json", cfg),
+                     "--out-dir", str(out), "--quiet"])
+        text = (out / "report.json").read_text()
+        # the stdlib's indent=2 encoding, byte for byte
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+        reports[name] = json.loads(text)
+        # the small eps fail the Lindeberg checks on rows this short
+        assert code == (0 if reports[name]["passed"] else 2)
+
+    verdict = reports["verdict"]["results"]["verdict"]
+    hyp = verdict["hypothesis"]
+    gen = generator_from_json(array)
+    for i, n in enumerate(ns):
+        row = gen.row(n)
+        assert len(row.components) == n  # no two components are equal
+        for eps in eps_list:
+            st = row_statistics(row, eps)
+            assert hyp["u_table"][repr(eps)][i] == st.u
+            assert (hyp["mv"][i], hyp["b"][i], hyp["a"][i]) == (st.mv, st.b, st.a)
+            assert (verdict["columns"]["mv"][i], verdict["columns"]["b"][i]) == (st.mv, st.b)
+            m2 = max(d.second_moment() for d, _ in row.components)
+            assert hyp["markov_bound"][repr(eps)][i] == m2 / (eps * eps)
 
 
 def test_simulate_and_byte_determinism(tmp_path):

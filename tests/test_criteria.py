@@ -158,6 +158,15 @@ def test_gaussian_verdict_rejects_noncentered(bernoulli_gen):
         gaussian_verdict(bernoulli_gen, (10, 100), (0.5,))
 
 
+def test_verdicts_reject_an_empty_eps_list(rademacher_gen, bernoulli_gen):
+    with pytest.raises(ValueError, match="eps_list must be nonempty"):
+        gaussian_verdict(rademacher_gen, (10, 100), ())
+    with pytest.raises(ValueError, match="eps_list must be nonempty"):
+        poisson_verdict(bernoulli_gen, (10, 100), (), (0.0, 1.0))
+    with pytest.raises(ValueError, match="eps_list must be nonempty"):
+        general_verdict(rademacher_gen, (10, 100), DiracAtZero(1.0), 0.0, (0.5,), eps_list=())
+
+
 def test_poisson_verdict_passes(bernoulli_gen):
     rep = poisson_verdict(bernoulli_gen, N_LIST, EPS_LIST, (0.0, 1.0))
     assert rep.passed

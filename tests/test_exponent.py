@@ -25,6 +25,7 @@ from summand_lab import (
 )
 from summand_lab.accumulation import AccumMeasure
 from summand_lab.cf import Degenerate, GaussianCF, TranslatedPoissonCF
+from summand_lab.exponent import exp_psi
 
 
 def mixed_measure():
@@ -288,6 +289,12 @@ def test_sup_error_matches_per_u_product(cells):
     for grid in (tuple(-5.0 + 0.1 * i for i in range(101)), (-4.2, -0.3, 0.0, 1.1, 3.7)):
         want = max(abs(_product_per_u(prod, u) - cmath.exp(exponent_eval(m, u))) for u in grid)
         assert sup_err(grid) == pytest.approx(want, abs=1e-12)
+        # a target computed once per grid gives the same error as computing it inside
+        target = exp_psi(m, grid)
+        assert list(target) == [cmath.exp(exponent_eval(m, u)) for u in grid]
+        assert sup_err(grid, target) == sup_err(grid)
+        with pytest.raises(ValueError, match="target has shape"):
+            sup_err(grid, target[:1])
         for u in grid[::7]:
             assert abs(eval_cf(prod, u) - _product_per_u(prod, u)) <= 1e-12
 

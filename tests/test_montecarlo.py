@@ -276,3 +276,21 @@ def test_ks_centered_bernoulli_sums_against_translated_poisson():
     # run_simulation hands the limit's lattice to the KS
     plan = SimulationPlan(ExplicitArray((row,)), (100,), 20_000, seed=3, u_grid=(1.0,), limit=limit)
     assert run_simulation(plan)[0][0].ks == ks
+
+
+@pytest.mark.parametrize("b, k", [(0.3, 2), (0.1, 4), (1.0 / 3.0, 4), (1.0 / 3.0, 16)])
+def test_translated_poisson_cdf_at_lattice_points(b, k):
+    # x - b rounds to just below k at these lattice points, e.g. 0.3 + 2 - 0.3
+    lam = 4.0
+    x = b + k
+    assert math.floor(x - b) == k - 1
+
+    def exact(j):
+        return math.fsum(math.exp(-lam) * lam ** i / math.factorial(i) for i in range(j + 1))
+
+    cdf = translated_poisson_cdf(b, lam)
+    points = np.array([x, x - 0.5, np.nextafter(x, -np.inf), x + 0.5])
+    expected = [exact(k), exact(k - 1), exact(k - 1), exact(k)]
+    assert exact(k) - exact(k - 1) > 1e-7  # the steps differ far beyond the tolerance
+    assert cdf(points) == pytest.approx(expected, abs=1e-14)
+    assert cdf(x) == pytest.approx(exact(k), abs=1e-14)
