@@ -51,7 +51,7 @@ from .cf import (
     pth_root,
     root_limit_profile,
 )
-from .config import DEFAULT_TOLERANCES, ToleranceConfig, standard_t_grid
+from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .criteria import (
     ComparisonRegimeError,
     NonCenteredRowError,

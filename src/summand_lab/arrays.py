@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from .normal import ndtr_scalar, ndtri
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -188,19 +189,19 @@ class Gaussian(ComponentDist):
 
     def prob_abs_ge(self, eps):
         sd = math.sqrt(self.v)
-        return float(ndtr((self.m - eps) / sd) + ndtr((-eps - self.m) / sd))
+        return ndtr_scalar((self.m - eps) / sd) + ndtr_scalar((-eps - self.m) / sd)
 
     def partial_m2(self, x):
         sd = math.sqrt(self.v)
         z = (x - self.m) / sd
         phi = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-        return (self.m * self.m + self.v) * float(ndtr(z)) - sd * (x + self.m) * phi
+        return (self.m * self.m + self.v) * ndtr_scalar(z) - sd * (x + self.m) * phi
 
     def partial_m3(self, x):
         sd = math.sqrt(self.v)
         z = (x - self.m) / sd
         phi = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-        head = (self.m ** 3 + 3.0 * self.m * self.v) * float(ndtr(z))
+        head = (self.m ** 3 + 3.0 * self.m * self.v) * ndtr_scalar(z)
         return head - phi * (3.0 * self.m * self.m * sd + 3.0 * self.m * self.v * z + sd ** 3 * (z * z + 2.0))
 
     def tail_m2(self, center, eps, inclusive=False):

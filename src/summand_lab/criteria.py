@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .accumulation import (
+    AccumMeasure,
     LimitMeasureSpec,
     ScaledDiracAtOne,
     build_accum,
@@ -147,6 +148,9 @@ class VerdictReport:
     passed: bool
     reasons: tuple[str, ...]
     predicted_limit: CharFn | None
+    #: verdict-general: the centred accumulation measure of the last row;
+    #: not part of to_dict
+    accum_measure: AccumMeasure | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -178,7 +182,8 @@ class VerdictReport:
         return "\n".join(lines)
 
 
-def _finish(task, n_list, eps_list, hyp, columns, series, checks, predicted) -> VerdictReport:
+def _finish(task, n_list, eps_list, hyp, columns, series, checks, predicted,
+            accum_measure=None) -> VerdictReport:
     reasons = tuple(c.code for c in checks if not c.passed)
     passed = not reasons
     return VerdictReport(
@@ -192,6 +197,7 @@ def _finish(task, n_list, eps_list, hyp, columns, series, checks, predicted) -> 
         passed=passed,
         reasons=reasons,
         predicted_limit=predicted if passed else None,
+        accum_measure=accum_measure,
     )
 
 
@@ -342,4 +348,5 @@ def general_verdict(
         {},
         checks,
         predicted,
+        measures[-1],
     )

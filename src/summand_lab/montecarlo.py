@@ -6,8 +6,10 @@ output regardless of how many workers execute the chunks. Distances to the
 predicted limit: exact one-sample Kolmogorov-Smirnov over the distinct sample
 values, and the max empirical-characteristic-function gap on a u-grid, whose
 empirical side is arrays.exp_sums over the whole grid (angle addition with
-exact re-seeding, accurate to about 1e-13). For Bernoulli rows the
-binomial-vs-Poisson total variation is computed exactly from pmfs.
+exact re-seeding, accurate to about 1e-13). Both read one Tally of the
+sample: its distinct values and their counts, from a single sort. For
+Bernoulli rows the binomial-vs-Poisson total variation is computed exactly
+from pmfs.
 """
 
 from __future__ import annotations
@@ -17,20 +19,22 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
+# numpy loads numpy.random on first use (14 ms); imported here, start-up pays it
+from numpy.random import Generator, Philox
 
 from .arrays import ArrayGenerator, ComponentDist, FiniteDiscrete, Gaussian, RowSpec, exp_sums
 from .cf import CharFn, GaussianCF, TranslatedPoissonCF, eval_cf
+from .normal import ndtr
 
 #: samples per logical substream; chunk j of row index i draws from
 #: stream_id = (i << 32) | j.  Fixed once: changing it changes the streams.
 SUBSTREAM_CHUNK = 16384
 
 
-def _substream(seed: int, stream_id: int) -> np.random.Generator:
+def _substream(seed: int, stream_id: int) -> Generator:
     key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(stream_id & (2**64 - 1))],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def sample_sums(row: RowSpec, count: int, seed: int, stream_id: int = 0) -> np.ndarray:
@@ -57,7 +61,7 @@ def sample_sums(row: RowSpec, count: int, seed: int, stream_id: int = 0) -> np.n
     return total
 
 
-def _group_sums(comp: ComponentDist, copies: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def _group_sums(comp: ComponentDist, copies: int, rng: Generator, size: int) -> np.ndarray:
     """size realizations of the sum of `copies` independent draws of comp.
 
     A finite-discrete group is sites . Multinomial(copies, probs); any other
@@ -95,8 +99,36 @@ def sample_sums_chunked(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Tally:
+    """A sample as its distinct values, increasing, and how often each occurs.
+
+    len() is the sample size, so a Tally stands in for the sample it counts.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def tally(samples: Sequence[float]) -> Tally:
+    """The Tally of a sample from one sort: np.unique(s, return_counts=True)."""
+    s = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    change = np.empty(s.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(s[1:], s[:-1], out=change[1:])
+    counts = np.diff(np.flatnonzero(change), append=s.size)
+    return Tally(s[change], counts, s.size)
+
+
 def ks_distance(
-    samples: Sequence[float], limit_cdf: Callable, lattice: float | None = None
+    samples: Sequence[float] | Tally,
+    limit_cdf: Callable,
+    lattice: float | None = None,
+    continuous: bool = False,
 ) -> float:
     """sup_x |ECDF(x) - F(x)|, exact for continuous and step CDFs alike.
 
@@ -104,6 +136,9 @@ def ks_distance(
     monotone, so the supremum is reached at a sample value x (ECDF(x) against
     F(x)) or just below one (ECDF(x-) against the left limit F(x-)). F(x-) is
     F at the next double below x: exact for a CDF evaluated in floating point.
+    A CDF declared continuous has F(x-) = F(x), which moves the distance by
+    at most the CDF's slope times one ulp of x (about 1e-16 for the standard
+    normal), and F is read at only some of the values (see _continuous_ks).
 
     A lattice offset b says that F jumps only on b + Z (a translated Poisson
     limit). Row sums reach that lattice only up to rounding, so here a sample
@@ -111,26 +146,69 @@ def ks_distance(
     and F(x-) at a lattice point are read half a step to either side, where
     F is flat and a rounding in the CDF's own arithmetic cannot move a step.
     """
-    s = np.asarray(samples, dtype=np.float64)
-    if s.size == 0:
+    t = samples if isinstance(samples, Tally) else tally(samples)
+    if t.size == 0:
         raise ValueError("samples must be nonempty")
+    values, counts = t.values, t.counts
     if lattice is not None:
-        point = lattice + np.round(s - lattice)
-        s = np.where(np.abs(s - point) <= 1e-9 * np.maximum(1.0, np.abs(s)), point, s)
-    values, first = np.unique(np.sort(s), return_index=True)
-    n = s.size
-    below = first / n
-    at = np.append(first[1:], n) / n
-    x_at, x_left = values, np.nextafter(values, -np.inf)
+        point = lattice + np.round(values - lattice)
+        snapped = np.where(np.abs(values - point) <= 1e-9 * np.maximum(1.0, np.abs(values)),
+                           point, values)
+        values, inverse = np.unique(snapped, return_inverse=True)
+        counts = np.bincount(inverse, weights=counts)
+    # cumulative counts below 2^53 are exact in float64
+    at = np.cumsum(counts, dtype=np.float64)
+    below = at - counts
+    at /= t.size
+    below /= t.size
     if lattice is not None:
         on = values == lattice + np.round(values - lattice)
-        x_at, x_left = np.where(on, values + 0.5, x_at), np.where(on, values - 0.5, x_left)
-    f = np.asarray(limit_cdf(x_at), dtype=np.float64)
-    f_left = np.asarray(limit_cdf(x_left), dtype=np.float64)
+        f = limit_cdf(np.where(on, values + 0.5, values))
+        f_left = limit_cdf(np.where(on, values - 0.5, np.nextafter(values, -np.inf)))
+    elif continuous:
+        return _continuous_ks(values, at, below, limit_cdf)
+    else:
+        f = limit_cdf(values)
+        f_left = limit_cdf(np.nextafter(values, -np.inf))
+    f = np.asarray(f, dtype=np.float64)
+    f_left = np.asarray(f_left, dtype=np.float64)
     return float(max(np.max(np.abs(at - f)), np.max(np.abs(below - f_left))))
 
 
-def ecf_distance(samples: Sequence[float], limit_cf: CharFn, u_grid: Sequence[float]) -> float:
+#: _continuous_ks reads F exactly at every KS_STRIDE-th distinct value first
+KS_STRIDE = 16
+
+
+def _continuous_ks(values: np.ndarray, at: np.ndarray, below: np.ndarray, cdf: Callable) -> float:
+    """max |at - F| and |below - F| over the values, F read where it can matter.
+
+    F is read at every KS_STRIDE-th value and at the last. Between two such
+    anchors F lies between their readings, as F is monotone, so
+    max(at - F(lo), F(hi) - below) bounds both gaps there; F is read only at
+    the values whose bound reaches the largest anchor gap, less 1e-12 of
+    slack for a CDF that is monotone only up to its rounding. The result is
+    the largest gap over all values: with 2e4 continuous samples F is read
+    at about a tenth of them.
+    """
+    m = values.size
+    anchors = np.minimum(np.arange(0, m - 1 + KS_STRIDE, KS_STRIDE), m - 1)
+    fa = np.asarray(cdf(values[anchors]), dtype=np.float64)
+    gap = max(np.max(np.abs(at[anchors] - fa)), np.max(np.abs(below[anchors] - fa)))
+    # value i lies between anchors i // KS_STRIDE and the next one; in place,
+    # as each temporary of this size costs fresh pages
+    bound = np.repeat(fa, KS_STRIDE)[:m]
+    np.subtract(at, bound, out=bound)
+    hi = np.repeat(np.append(fa[1:], fa[-1]), KS_STRIDE)[:m]
+    np.subtract(hi, below, out=hi)
+    np.maximum(bound, hi, out=bound)
+    read = np.flatnonzero(bound > gap - 1e-12)
+    if read.size:
+        f = np.asarray(cdf(values[read]), dtype=np.float64)
+        gap = max(gap, np.max(np.abs(at[read] - f)), np.max(np.abs(below[read] - f)))
+    return float(gap)
+
+
+def ecf_distance(samples: Sequence[float] | Tally, limit_cf: CharFn, u_grid: Sequence[float]) -> float:
     """max over the grid of |mean e^{iuS} - limit(u)|.
 
     The empirical mean is exp_sums over the distinct sample values weighted
@@ -138,16 +216,14 @@ def ecf_distance(samples: Sequence[float], limit_cf: CharFn, u_grid: Sequence[fl
     exact re-seeding, accurate to about 1e-13. Lattice sums have few distinct
     values, and the temporaries stay the size of the sample.
     """
-    s = np.asarray(samples, dtype=np.float64)
-    if s.size == 0 or len(u_grid) == 0:
+    t = samples if isinstance(samples, Tally) else tally(samples)
+    if t.size == 0 or len(u_grid) == 0:
         raise ValueError("samples and u_grid must be nonempty")
-    values, counts = np.unique(s, return_counts=True)
-    emp = exp_sums(u_grid, values, counts / s.size)
+    emp = exp_sums(u_grid, t.values, t.counts / t.size)
     return max(abs(complex(e) - eval_cf(limit_cf, float(u))) for u, e in zip(u_grid, emp))
 
 
-def std_normal_cdf(x):
-    return ndtr(np.asarray(x, dtype=np.float64))
+std_normal_cdf = ndtr
 
 
 def translated_poisson_cdf(b: float, lam: float) -> Callable:
@@ -180,26 +256,103 @@ def translated_poisson_cdf(b: float, lam: float) -> Callable:
     return cdf
 
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirlerr(k: int) -> float:
+    """log k! - ((k + 1/2) log k - k + log sqrt(2 pi)), for k >= 1.
+
+    Past 15 by the Stirling series, whose terms Loader (2000), "Fast and
+    accurate computation of binomial probabilities", truncates by k.
+    """
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LOG_SQRT_2PI
+    nn = float(k) * k
+    s0, s1, s2, s3, s4 = 1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0
+    if k > 500:
+        return (s0 - s1 / nn) / k
+    if k > 80:
+        return (s0 - (s1 - s2 / nn) / nn) / k
+    if k > 35:
+        return (s0 - (s1 - (s2 - s3 / nn) / nn) / nn) / k
+    return (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / k
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x, without its cancellation near x = m (Loader 2000)."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    ej = 2.0 * x * v
+    v *= v
+    j = 1
+    while True:
+        ej *= v
+        s1 = s + ej / (2 * j + 1)
+        if s1 == s:
+            return s
+        s = s1
+        j += 1
+
+
+def _pmf_from_mode(mode: int, log_pmf: float, up: Callable, down: Callable, last: float) -> tuple:
+    """(first k, pmf from there on) of a unimodal pmf supported on 0..last.
+
+    Starts at the mode from its log and recurses outward with the ratios
+    up(k) = p(k+1)/p(k) and down(k) = p(k-1)/p(k); each side stops at the
+    end of the support or where the term underflows to 0.0, beyond which
+    every term is 0.0 as well.
+    """
+    pk = math.exp(log_pmf)
+    left = []
+    k, q = mode, pk
+    while k > 0 and q > 0.0:
+        q *= down(k)
+        k -= 1
+        left.append(q)
+    right = [pk]
+    k, q = mode, pk
+    while k < last and q > 0.0:
+        q *= up(k)
+        k += 1
+        right.append(q)
+    return mode - len(left), np.array(left[::-1] + right)
+
+
 def tv_binomial_poisson(n: int, p: float, lam: float) -> float:
     """Exact total variation between Binomial(n, p) and Poisson(lam).
 
-    0.5 * sum_{k<=n} |b_k - q_k| plus half the Poisson mass beyond n; both
-    pmfs by stable upward recursions.
+    0.5 * sum_{k<=n} |b_k - q_k| plus half the Poisson mass beyond n. Each
+    pmf starts at its mode, in saddle-point form (Loader 2000), accurate to
+    about 1e-14 relative, and is extended outward by its term ratio until
+    it underflows. Neither needs e^{-lam} or (1-p)^n, which underflow for
+    lam or n log(1/(1-p)) above about 745.
     """
     if n < 1 or not (0.0 <= p < 1.0) or lam <= 0.0:
         raise ValueError("need n >= 1, 0 <= p < 1, lam > 0")
-    bk = math.exp(n * math.log1p(-p))
-    qk = math.exp(-lam)
-    ratio = p / (1.0 - p)
-    acc = 0.0
-    qsum = 0.0
-    for k in range(n + 1):
-        acc += abs(bk - qk)
-        qsum += qk
-        bk *= (n - k) / (k + 1.0) * ratio
-        qk *= lam / (k + 1.0)
-    tail = max(0.0, 1.0 - qsum)
-    return 0.5 * (acc + tail)
+    mb = min(n, math.floor((n + 1) * p))
+    if mb == 0:
+        log_b = n * math.log1p(-p)
+    elif mb == n:
+        log_b = n * math.log(p)
+    else:
+        log_b = (_stirlerr(n) - _stirlerr(mb) - _stirlerr(n - mb)
+                 - _bd0(mb, n * p) - _bd0(n - mb, n * (1.0 - p))
+                 - 0.5 * (2.0 * _LOG_SQRT_2PI + math.log(mb) + math.log1p(-mb / n)))
+    odds = p / (1.0 - p)
+    b0, b = _pmf_from_mode(mb, log_b, lambda k: (n - k) / (k + 1.0) * odds,
+                           lambda k: k / (n - k + 1.0) / odds, n)
+    mq = math.floor(lam)
+    log_q = -lam if mq == 0 else -_stirlerr(mq) - _bd0(mq, lam) - 0.5 * math.log(mq) - _LOG_SQRT_2PI
+    q0, q = _pmf_from_mode(mq, log_q, lambda k: lam / (k + 1.0), lambda k: k / lam, math.inf)
+    # both on k = lo..hi, where hi <= n ends the later window; 0.0 outside
+    lo, hi = min(b0, q0), min(n, max(b0 + b.size, q0 + q.size) - 1)
+    diff = np.zeros(hi + 1 - lo)
+    diff[b0 - lo:b0 - lo + b.size] = b
+    inside = q[:max(0, hi + 1 - q0)]
+    diff[q0 - lo:q0 - lo + inside.size] -= inside
+    return 0.5 * (math.fsum(np.abs(diff)) + math.fsum(q[inside.size:]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +368,11 @@ class NamedLimit:
     cf: CharFn
     cdf: Callable | None
     lattice: float | None = None  # offset b when the CDF jumps only on b + Z
+    continuous: bool = False  # the CDF has no jumps, so F(x-) = F(x)
 
 
 def std_gaussian_limit() -> NamedLimit:
-    return NamedLimit("std_gaussian", GaussianCF(0.0, 1.0), std_normal_cdf)
+    return NamedLimit("std_gaussian", GaussianCF(0.0, 1.0), std_normal_cdf, continuous=True)
 
 
 def translated_poisson_limit(b: float, lam: float) -> NamedLimit:
@@ -270,8 +424,10 @@ def run_simulation(plan: SimulationPlan, keep_samples: bool = False):
     for i, n in enumerate(plan.n_list):
         row = plan.generator.row(n)
         s = sample_sums_chunked(row, plan.samples_per_n, plan.seed, base_stream=i << 32)
-        ks = None if plan.limit.cdf is None else ks_distance(s, plan.limit.cdf, plan.limit.lattice)
-        ecf = ecf_distance(s, plan.limit.cf, plan.u_grid)
+        t = tally(s)
+        lim = plan.limit
+        ks = None if lim.cdf is None else ks_distance(t, lim.cdf, lim.lattice, lim.continuous)
+        ecf = ecf_distance(t, lim.cf, plan.u_grid)
         results.append(SimResult(n, ks, ecf, plan.samples_per_n, plan.seed))
         if keep_samples:
             kept[n] = s

@@ -35,11 +35,12 @@ from summand_lab import (
     pth_root,
     row_statistics,
     sample_sums_chunked,
-    standard_t_grid,
     std_normal_cdf,
     tv_binomial_poisson,
 )
 from summand_lab.cli import main
+
+from grids import standard_t_grid
 
 RADEMACHER = FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5)))
 N_LIST = (100, 1000, 10000)

@@ -27,11 +27,12 @@ from summand_lab import (
     product,
     pth_root,
     root_limit_profile,
-    standard_t_grid,
 )
 from summand_lab.accumulation import AccumMeasure
 from summand_lab.arrays import Gaussian, Uniform
 from summand_lab.cf import from_json, to_json
+
+from grids import standard_t_grid
 
 FAMILIES = [
     Degenerate(2.5),

@@ -167,8 +167,8 @@ def test_partial_outputs_removed_on_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_report_value_exits_3(tmp_path, capsys, literal):
-    # Python's JSON reader accepts these literals; report.json embeds the
-    # config, so the value reaches the writer, which has no form for it
+    # Python's JSON reader accepts these literals; report.json, which embeds
+    # the config, has no form for them, so the config is refused before any work
     p = tmp_path / "hyp.json"
     p.write_text(
         '{"task": "hypotheses", "array": %s, "n_list": [10, 100], "eps_list": [0.5], '
@@ -176,8 +176,22 @@ def test_non_finite_report_value_exits_3(tmp_path, capsys, literal):
     )
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out-dir", str(out), "--quiet"]) == 3
-    assert "Out of range float values" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Out of range float values" in err
+    assert f"/c_target: Out of range float values are not JSON compliant: {literal}" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_finite_config_value_is_named_by_its_pointer(tmp_path, capsys):
+    array = {"generator": "explicit",
+             "rows": [{"n": 1, "components": [{"kind": "gaussian", "mean": 0.0, "var": 1.0}]},
+                      {"n": 2, "components": [{"kind": "gaussian", "mean": 0.0, "var": 0.5},
+                                              {"kind": "gaussian", "mean": 0.0, "var": 0.5}]}]}
+    text = json.dumps({"task": "hypotheses", "array": array, "n_list": [1, 2], "eps_list": [0.5]})
+    p = tmp_path / "hyp.json"
+    p.write_text(text.replace('"var": 0.5}]', '"var": -Infinity}]'))
+    assert main(["--config", str(p), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "config error: /array/rows/1/components/1/var: " in capsys.readouterr().err
 
 
 def _explicit_array(ns, seed):

@@ -13,6 +13,7 @@ from summand_lab import (
     NonCenteredRowError,
     RowSpec,
     ScaledDiracAtOne,
+    build_accum,
     comparison_residual,
     eval_cf,
     gaussian_verdict,
@@ -201,6 +202,8 @@ def test_general_verdict_rademacher(rademacher_gen):
     )
     assert rep.passed
     assert max(rep.columns["sup_deviation"]) <= 1e-14
+    # the last row's centred measure, kept for the CLI's accum_measure export
+    assert rep.accum_measure == build_accum(rademacher_gen.row(N_LIST[-1]), center=True)
 
 
 def test_general_verdict_bernoulli(bernoulli_gen):

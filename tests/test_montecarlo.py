@@ -26,8 +26,13 @@ from summand_lab import (
     translated_poisson_cdf,
     tv_binomial_poisson,
 )
-from summand_lab.montecarlo import SUBSTREAM_CHUNK, std_gaussian_limit, translated_poisson_limit
-from scipy.special import ndtri
+from summand_lab.montecarlo import (
+    SUBSTREAM_CHUNK,
+    std_gaussian_limit,
+    tally,
+    translated_poisson_limit,
+)
+from scipy.special import ndtr as scipy_ndtr, ndtri
 
 
 def test_degenerate_row_sums_exact():
@@ -142,7 +147,8 @@ def test_tv_binomial_poisson_le_cam():
 
 
 def test_tv_against_scipy():
-    for n, lam in ((100, 1.0), (500, 2.0)):
+    # lam >= 745: e^{-lam} underflows, so the pmfs must not start from k = 0
+    for n, lam in ((100, 1.0), (500, 2.0), (10_000, 1000.0), (2000, 800.0)):
         p = lam / n
         mine = tv_binomial_poisson(n, p, lam)
         ks = np.arange(0, n + 1)
@@ -260,6 +266,58 @@ def test_ecf_on_an_arithmetic_grid_matches_the_per_u_mean(rademacher_gen):
     for s in (spread, lattice):
         want = _ecf_distance_per_u(s, GaussianCF(0.0, 1.0), grid)
         assert ecf_distance(s, GaussianCF(0.0, 1.0), grid) == pytest.approx(want, abs=1e-12)
+
+
+def test_tally_matches_unique():
+    rng = np.random.default_rng(5)
+    for s in (rng.normal(size=3000), rng.integers(-4, 5, size=3000).astype(np.float64),
+              np.array([0.0, -0.0, 2.0, -0.0, 2.0, 1.0]), np.array([7.5])):
+        t = tally(s)
+        values, counts = np.unique(s, return_counts=True)
+        assert np.array_equal(t.values, values) and np.array_equal(t.counts, counts)
+        assert len(t) == t.size == s.size
+        assert ks_distance(t, std_normal_cdf) == ks_distance(s, std_normal_cdf)
+        assert ecf_distance(t, GaussianCF(0.0, 1.0), (0.5, 2.0)) == ecf_distance(s, GaussianCF(0.0, 1.0), (0.5, 2.0))
+
+
+def _ks_reading_f_everywhere(samples, cdf):
+    """The continuous-limit KS with F read at every distinct value."""
+    t = tally(samples)
+    through = np.cumsum(t.counts)
+    at, below = through / t.size, (through - t.counts) / t.size
+    f = cdf(t.values)
+    return float(max(np.max(np.abs(at - f)), np.max(np.abs(below - f))))
+
+
+def test_ks_of_a_continuous_limit_reads_f_where_it_matters(rademacher_gen):
+    # F(x-) = F(x) for a continuous F, which moves the distance by at most F's
+    # slope times one ulp of x; F is read between anchors only where it can
+    # reach the largest gap, and the result is the largest gap over all values
+    rng = np.random.default_rng(11)
+    spread = sample_sums_chunked(RowSpec(1, ((Gaussian(0.0, 1.0), 1),)), 20_000, seed=23)
+    lattice = sample_sums_chunked(rademacher_gen.row(64), 20_000, seed=24) / 8.0
+    samples = [spread, lattice, spread * 1.3 + 0.2, rng.uniform(-3.0, 3.0, 5000)]
+    samples += [rng.normal(size=k) for k in (1, 2, 15, 16, 17, 33, 1000)]
+    for s in samples:
+        both = ks_distance(s, std_normal_cdf)
+        assert ks_distance(s, std_normal_cdf, continuous=True) == pytest.approx(both, abs=1e-15)
+        # elementwise, F gives the same bits however the values are batched
+        assert ks_distance(s, scipy_ndtr, continuous=True) == _ks_reading_f_everywhere(s, scipy_ndtr)
+    read = []
+
+    def cdf(x):
+        read.append(np.size(x))
+        return std_normal_cdf(x)
+
+    ks_distance(spread, cdf, continuous=True)
+    assert sum(read) < spread.size / 5
+    # run_simulation sorts once and takes the limit's continuity
+    limit = std_gaussian_limit()
+    assert limit.continuous
+    plan = SimulationPlan(rademacher_gen, (64,), 20_000, seed=24, u_grid=(0.5, 1.0), limit=limit)
+    (res,), kept = run_simulation(plan, keep_samples=True)
+    assert res.ks == ks_distance(kept[64], std_normal_cdf, continuous=True)
+    assert res.ecf == ecf_distance(kept[64], limit.cf, (0.5, 1.0))
 
 
 def test_ks_centered_bernoulli_sums_against_translated_poisson():
