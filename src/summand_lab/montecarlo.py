@@ -136,7 +136,7 @@ def ks_distance(
     monotone, so the supremum is reached at a sample value x (ECDF(x) against
     F(x)) or just below one (ECDF(x-) against the left limit F(x-)). F(x-) is
     F at the next double below x: exact for a CDF evaluated in floating point.
-    A CDF declared continuous has F(x-) = F(x), which moves the distance by
+    A CDF passed as continuous has F(x-) = F(x), which moves the distance by
     at most the CDF's slope times one ulp of x (about 1e-16 for the standard
     normal), and F is read at only some of the values (see _continuous_ks).
 
@@ -368,11 +368,10 @@ class NamedLimit:
     cf: CharFn
     cdf: Callable | None
     lattice: float | None = None  # offset b when the CDF jumps only on b + Z
-    continuous: bool = False  # the CDF has no jumps, so F(x-) = F(x)
 
 
 def std_gaussian_limit() -> NamedLimit:
-    return NamedLimit("std_gaussian", GaussianCF(0.0, 1.0), std_normal_cdf, continuous=True)
+    return NamedLimit("std_gaussian", GaussianCF(0.0, 1.0), std_normal_cdf)
 
 
 def translated_poisson_limit(b: float, lam: float) -> NamedLimit:
@@ -426,7 +425,8 @@ def run_simulation(plan: SimulationPlan, keep_samples: bool = False):
         s = sample_sums_chunked(row, plan.samples_per_n, plan.seed, base_stream=i << 32)
         t = tally(s)
         lim = plan.limit
-        ks = None if lim.cdf is None else ks_distance(t, lim.cdf, lim.lattice, lim.continuous)
+        # a named limit's CDF is a lattice step function or continuous
+        ks = None if lim.cdf is None else ks_distance(t, lim.cdf, lim.lattice, lim.lattice is None)
         ecf = ecf_distance(t, lim.cf, plan.u_grid)
         results.append(SimResult(n, ks, ecf, plan.samples_per_n, plan.seed))
         if keep_samples:

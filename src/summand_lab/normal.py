@@ -1,11 +1,10 @@
 """Standard normal CDF and quantile over numpy arrays.
 
-ndtr is the Marsaglia series Phi(x) = 1/2 + x phi(x) sum x^{2n}/(2n+1)!!
-for |x| < 2.5 sqrt(2), and Laplace's continued fraction for the Mills
-ratio beyond; it is within 4.4e-16 absolute of scipy.special.ndtr on
-[-40, 40]. Both loops have a fixed length, so a branch that gets at most
-SCALAR_MAX values is evaluated by the C library's erfc, one value at a
-time, instead: ndtr_scalar, the CDF of one float.
+ndtr is Phi(x) = 1/2 erfc(-x / sqrt 2) with the C library's erfc, one value
+at a time: within 2.2e-16 absolute of scipy.special.ndtr, and the same bits
+as ndtr_scalar, the CDF of one float. At about 0.1 us a value it is cheap
+where it runs: the continuous KS reads F at about 1250 of the 2e4 values of
+a row (see montecarlo._continuous_ks).
 
 ndtri is Wichura's AS241 (PPND16), "The Percentage Points of the Normal
 Distribution", Applied Statistics 37 (1988), with the coefficients and the
@@ -18,19 +17,7 @@ import math
 
 import numpy as np
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
-
-#: |x| below this takes the series, at or above it the continued fraction
-SERIES_EDGE = 2.5 * _SQRT_2
-#: 1/(2n+1)!! for n < 40, highest n first; at the edge (x^2 = 12.5) the
-#: first term left out is below 1e-19 of the sum
-_SERIES = tuple(1.0 / math.prod(range(1, 2 * n + 2, 2)) for n in range(40))[::-1]
-#: continued-fraction depth; full double precision from the edge outwards
-_CF_TERMS = 60
-#: a branch with at most this many values goes through math.erfc: measured
-#: break-even near 500 values for the series and 1000 for the fraction
-SCALAR_MAX = 512
 
 
 def ndtr_scalar(z: float) -> float:
@@ -38,46 +25,13 @@ def ndtr_scalar(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT_2)
 
 
-def _erfc_each(x: np.ndarray) -> np.ndarray:
-    return np.array([ndtr_scalar(v) for v in x.tolist()])
-
-
 def ndtr(x) -> np.ndarray:
-    """Phi(x) elementwise, within 4.4e-16 absolute of 0.5 erfc(-x / sqrt 2)."""
+    """Phi(x) elementwise, bit for bit ndtr_scalar of each value."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    inner = np.abs(x) < SERIES_EDGE
-    xi = x[inner]
-    if 0 < xi.size <= SCALAR_MAX:
-        out[inner] = _erfc_each(xi)
-    elif xi.size:
-        y = xi * xi
-        s = np.full_like(xi, _SERIES[0])
-        for c in _SERIES[1:]:
-            s *= y
-            s += c
-        t = np.exp(-0.5 * y)
-        t *= xi
-        t *= _INV_SQRT_2PI
-        s *= t
-        s += 0.5
-        out[inner] = s
-    outer = ~inner
-    xo = x[outer]
-    if 0 < xo.size <= SCALAR_MAX:
-        out[outer] = _erfc_each(xo)
-    elif xo.size:
-        a = np.abs(xo)
-        r = a.copy()
-        for k in range(_CF_TERMS, 0, -1):
-            np.divide(k, r, out=r)
-            r += a
-        # the tail mass 1 - Phi(|x|) = phi(x) / r
-        q = np.exp(-0.5 * a * a)
-        q *= _INV_SQRT_2PI
-        q /= r
-        out[outer] = np.where(xo < 0.0, q, 1.0 - q)
-    return out
+    z = (-x / _SQRT_2).ravel().tolist()
+    out = np.fromiter(map(math.erfc, z), np.float64, len(z))
+    out *= 0.5
+    return out.reshape(x.shape)
 
 
 # AS241 rational approximations, coefficients highest degree first:

@@ -311,9 +311,8 @@ def test_ks_of_a_continuous_limit_reads_f_where_it_matters(rademacher_gen):
 
     ks_distance(spread, cdf, continuous=True)
     assert sum(read) < spread.size / 5
-    # run_simulation sorts once and takes the limit's continuity
+    # run_simulation sorts once, and a limit without a lattice is continuous
     limit = std_gaussian_limit()
-    assert limit.continuous
     plan = SimulationPlan(rademacher_gen, (64,), 20_000, seed=24, u_grid=(0.5, 1.0), limit=limit)
     (res,), kept = run_simulation(plan, keep_samples=True)
     assert res.ks == ks_distance(kept[64], std_normal_cdf, continuous=True)
