@@ -7,11 +7,8 @@ with pass/fail verdicts, and reproducible Monte Carlo checks.
 
 from .accumulation import (
     AccumMeasure,
-    DiracAtZero,
     DiscontinuityPointError,
-    ExplicitLimit,
     PreweakDistance,
-    ScaledDiracAtOne,
     build_accum,
     preweak_distance,
 )

@@ -14,7 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arrays import ComponentDist, FiniteDiscrete, RowSpec, component_from_json, component_to_json
+from .arrays import (
+    ArraySpecError, ComponentDist, FiniteDiscrete, RowSpec, component_from_json, component_to_json,
+    json_number,
+)
 from .jsontext import json_text
 
 #: accumulation-measure atom sites closer than this are merged into one
@@ -134,77 +137,6 @@ def build_accum(row: RowSpec, center: bool) -> AccumMeasure:
     )
 
 
-# ---------------------------------------------------------------------------
-# Candidate limit measures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiracAtZero:
-    """K(x) = mass * 1_(x >= 0)."""
-
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
-
-    def to_measure(self) -> AccumMeasure:
-        return AccumMeasure(atoms=((0.0, float(self.mass)),))
-
-    def cdf(self, x: float) -> float:
-        return float(self.mass) if x >= 0.0 else 0.0
-
-    def discontinuities(self) -> tuple[float, ...]:
-        return (0.0,)
-
-    def total(self) -> float:
-        return float(self.mass)
-
-
-@dataclass(frozen=True)
-class ScaledDiracAtOne:
-    """K(x) = lam * 1_(x >= 1)."""
-
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
-
-    def to_measure(self) -> AccumMeasure:
-        return AccumMeasure(atoms=((1.0, float(self.lam)),))
-
-    def cdf(self, x: float) -> float:
-        return float(self.lam) if x >= 1.0 else 0.0
-
-    def discontinuities(self) -> tuple[float, ...]:
-        return (1.0,)
-
-    def total(self) -> float:
-        return float(self.lam)
-
-
-@dataclass(frozen=True)
-class ExplicitLimit:
-    measure: AccumMeasure
-
-    def to_measure(self) -> AccumMeasure:
-        return self.measure
-
-    def cdf(self, x: float) -> float:
-        return self.measure.cdf(x)
-
-    def discontinuities(self) -> tuple[float, ...]:
-        return tuple(s for s, _ in self.measure.atoms)
-
-    def total(self) -> float:
-        return self.measure.total_mass
-
-
-LimitMeasureSpec = DiracAtZero | ScaledDiracAtOne | ExplicitLimit
-
-
 @dataclass(frozen=True)
 class PreweakDistance:
     sup_deviation: float
@@ -213,29 +145,24 @@ class PreweakDistance:
 
 def preweak_distance(
     measures: Sequence[AccumMeasure],
-    limit: LimitMeasureSpec,
+    limit: AccumMeasure,
     grid: Sequence[float],
-    exclusion: float = 0.0,
 ) -> list[PreweakDistance]:
     """Per measure: sup over the grid of |K_n(x) - K(x)|, plus the total-mass
     gap (the extra requirement separating weak from pre-weak convergence).
 
-    Grid points within `exclusion` of a limit discontinuity are rejected;
-    with the default 0.0 only exact hits are."""
+    A grid point on an atom site of the limit, where K jumps, is rejected."""
     grid = tuple(float(x) for x in grid)
     if not grid:
         raise ValueError("grid must be nonempty")
+    sites = {s for s, _ in limit.atoms}
     for x in grid:
-        for s in limit.discontinuities():
-            if abs(x - s) <= exclusion:
-                raise DiscontinuityPointError(
-                    f"grid point {x} is a discontinuity point of the limit (site {s})"
-                )
-    total = limit.total()
+        if x in sites:
+            raise DiscontinuityPointError(f"grid point {x} is a discontinuity point of the limit")
     out = []
     for m in measures:
         dev = max(abs(m.cdf(x) - limit.cdf(x)) for x in grid)
-        out.append(PreweakDistance(dev, abs(m.total_mass - total)))
+        out.append(PreweakDistance(dev, abs(m.total_mass - limit.total_mass)))
     return out
 
 
@@ -252,19 +179,35 @@ def measure_to_json(m: AccumMeasure) -> dict:
 
 
 def measure_from_json(obj, path: str = "") -> AccumMeasure:
+    """Every malformed atom or piece is refused with its JSON pointer."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{path or '/'}: expected an object")
+        raise ArraySpecError(f"{path or '/'}: expected an object")
     atoms = obj.get("atoms", [])
     pieces = obj.get("pieces", [])
     if not isinstance(atoms, list) or not isinstance(pieces, list):
-        raise ValueError(f"{path}: atoms and pieces must be lists")
-    return AccumMeasure(
-        atoms=tuple((float(a[0]), float(a[1])) for a in atoms),
-        pieces=tuple(
-            (float(p["weight"]), component_from_json(p["dist"], f"{path}/pieces/{i}/dist"))
-            for i, p in enumerate(pieces)
-        ),
-    )
+        raise ArraySpecError(f"{path}: atoms and pieces must be lists")
+    parsed_atoms = []
+    for i, a in enumerate(atoms):
+        apath = f"{path}/atoms/{i}"
+        if not isinstance(a, list) or len(a) != 2:
+            raise ArraySpecError(f"{apath}: expected [site, mass]")
+        site, mass = json_number(a[0], f"{apath}/0"), json_number(a[1], f"{apath}/1")
+        if mass < 0.0:
+            raise ArraySpecError(f"{apath}/1: negative atom mass {mass!r}")
+        parsed_atoms.append((site, mass))
+    parsed_pieces = []
+    for i, p in enumerate(pieces):
+        ppath = f"{path}/pieces/{i}"
+        if not isinstance(p, dict) or "weight" not in p or "dist" not in p:
+            raise ArraySpecError(f"{ppath}: expected an object with 'weight' and 'dist'")
+        weight = json_number(p["weight"], f"{ppath}/weight")
+        if weight < 0.0:
+            raise ArraySpecError(f"{ppath}/weight: negative piece weight {weight!r}")
+        dist = component_from_json(p["dist"], f"{ppath}/dist")
+        if isinstance(dist, FiniteDiscrete):
+            raise ArraySpecError(f"{ppath}/dist: discrete components enter as atoms, not pieces")
+        parsed_pieces.append((weight, dist))
+    return AccumMeasure(atoms=tuple(parsed_atoms), pieces=tuple(parsed_pieces))
 
 
 def export_measure_csv(m: AccumMeasure) -> tuple[str, str]:

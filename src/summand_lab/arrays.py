@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -673,20 +674,31 @@ def component_from_json(obj, path: str = "") -> ComponentDist:
             return Gaussian(_req_num(obj, "mean", path), _req_num(obj, "var", path))
         if kind == "uniform":
             return Uniform(_req_num(obj, "lo", path), _req_num(obj, "hi", path))
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         if isinstance(exc, ArraySpecError):
             raise
         raise ArraySpecError(f"{path}: {exc}") from exc
     raise ArraySpecError(f"{path}/kind: unknown component kind {kind!r}")
 
 
+def json_number(v, pointer: str, integer: bool = False):
+    """A JSON number as a finite float, or with integer=True a JSON integer as
+    an int; booleans, strings and numbers a double cannot hold are refused."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ArraySpecError(f"{pointer}: expected {kind}, got {v!r}")
+    if integer:
+        return v
+    # NaN, the infinities and integers past the largest double fail this test
+    if not abs(v) <= sys.float_info.max:
+        raise ArraySpecError(f"{pointer}: not a finite double")
+    return float(v)
+
+
 def _req_num(obj: dict, key: str, path: str) -> float:
     if key not in obj:
         raise ArraySpecError(f"{path}/{key}: missing required field")
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ArraySpecError(f"{path}/{key}: expected a number, got {v!r}")
-    return float(v)
+    return json_number(obj[key], f"{path}/{key}")
 
 
 def generator_to_json(gen: ArrayGenerator) -> dict:
@@ -735,17 +747,22 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
         if not isinstance(rows, list) or not rows:
             raise ArraySpecError(f"{path}/rows: expected a nonempty list")
         built = []
+        seen = set()
         for i, robj in enumerate(rows):
             rpath = f"{path}/rows/{i}"
             if not isinstance(robj, dict) or "n" not in robj or "components" not in robj:
                 raise ArraySpecError(f"{rpath}: expected an object with 'n' and 'components'")
+            n = json_number(robj["n"], f"{rpath}/n", integer=True)
+            if n in seen:
+                raise ArraySpecError(f"{rpath}/n: row n={n} repeats an earlier row")
+            seen.add(n)
             comps = [
                 component_from_json(c, f"{rpath}/components/{j}")
                 for j, c in enumerate(robj["components"])
             ]
             try:
                 # a generator, so no tuple of k(n) pairs outlives the grouping
-                built.append(RowSpec(int(robj["n"]), ((c, 1) for c in comps)))
+                built.append(RowSpec(n, ((c, 1) for c in comps)))
             except (ValueError, TypeError) as exc:
                 raise ArraySpecError(f"{rpath}: {exc}") from exc
         return ExplicitArray(tuple(built))

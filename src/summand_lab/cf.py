@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulation import AccumMeasure, measure_from_json, measure_to_json
-from .arrays import exp_sums
+from .arrays import ArraySpecError, exp_sums
 
 
 class CharFnError(ValueError):
@@ -366,7 +366,7 @@ def from_json(obj, path: str = "") -> CharFn:
     except KeyError as exc:
         raise CharFnError(f"{pp}/{exc.args[0]}: missing required field") from exc
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, CharFnError):
+        if isinstance(exc, (CharFnError, ArraySpecError)):
             raise
         raise CharFnError(f"{pp}: {exc}") from exc
     raise CharFnError(f"{path}/family: unknown family {family!r}")

@@ -20,17 +20,10 @@ import locale  # noqa: F401
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .accumulation import (
-    AccumMeasure,
-    DiracAtZero,
-    ExplicitLimit,
-    ScaledDiracAtOne,
-    build_accum,
-    export_measure_csv,
-    measure_from_json,
-)
-from .arrays import ArraySpecError, generator_from_json, hypothesis_check
+from .accumulation import AccumMeasure, build_accum, export_measure_csv, measure_from_json
+from .arrays import ArraySpecError, generator_from_json, hypothesis_check, json_number
 from .cf import CharFnError, from_json as cf_from_json, to_json as cf_to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .criteria import VerdictReport, gaussian_verdict, general_verdict, poisson_verdict
@@ -45,38 +38,12 @@ from .montecarlo import (
 )
 from .svgplot import PlotError, line_plot_svg
 
-TASKS = (
-    "hypotheses",
-    "verdict-gaussian",
-    "verdict-poisson",
-    "verdict-general",
-    "psi-sweep",
-    "poisson-approx",
-    "simulate",
-)
-
-_REQUIRED = {
-    "hypotheses": ("array", "n_list", "eps_list"),
-    "verdict-gaussian": ("array", "n_list", "eps_list"),
-    "verdict-poisson": ("array", "n_list", "eps_list", "target"),
-    "verdict-general": ("array", "n_list", "limit", "grid"),
-    "psi-sweep": ("measure", "u_grid"),
-    "poisson-approx": ("measure", "window", "mesh_cells", "u_grid"),
-    "simulate": ("array", "n_list", "samples_per_n", "seed", "u_grid", "limit"),
-}
-
-
-#: fields every task accepts, and the optional fields each task documents
+#: fields every task accepts besides its own
 _COMMON = ("task", "out_dir", "seed", "plots", "tolerances")
-_OPTIONAL = {
-    "hypotheses": ("c_target",),
-    "verdict-gaussian": (),
-    "verdict-poisson": (),
-    "verdict-general": ("shift_target", "eps_list"),
-    "psi-sweep": ("array",),
-    "poisson-approx": ("array",),
-    "simulate": ("ks_threshold", "ecf_threshold", "dump_samples"),
-}
+#: fields holding a JSON integer
+_COUNTS = ("seed", "samples_per_n")
+#: fields holding a list of JSON numbers: name -> whether its entries are integers
+_LISTS = {"n_list": True, "eps_list": False, "grid": False, "mesh_cells": True}
 
 
 class ConfigError(ValueError):
@@ -91,10 +58,11 @@ def validate_config(cfg) -> None:
         raise ConfigError("/task: missing required field")
     if task not in TASKS:
         raise ConfigError(f"/task: unknown task {task!r}; expected one of {list(TASKS)}")
-    for field in _REQUIRED[task]:
+    spec = TASKS[task]
+    for field in spec.required:
         if field not in cfg:
             raise ConfigError(f"/{field}: required for task {task!r}")
-    allowed = set(_COMMON) | set(_REQUIRED[task]) | set(_OPTIONAL[task])
+    allowed = set(_COMMON) | set(spec.required) | set(spec.optional)
     for field in cfg:
         if field not in allowed:
             raise ConfigError(f"/{field}: unknown field for task {task!r}")
@@ -102,6 +70,16 @@ def validate_config(cfg) -> None:
         meas = cfg.get("measure")
         if isinstance(meas, dict) and meas.get("kind") == "from_array" and "array" not in cfg:
             raise ConfigError("/array: required when /measure/kind is 'from_array'")
+    for field in _COUNTS:
+        if field in cfg:
+            json_number(cfg[field], f"/{field}", integer=True)
+    for field, integer in _LISTS.items():
+        if field in cfg:
+            _numbers(cfg[field], f"/{field}", integer)
+    # the component parsers check every number under /array themselves
+    bad = _first_non_finite({k: v for k, v in cfg.items() if k != "array"})
+    if bad is not None:
+        raise ConfigError(f"{bad}: number too large for a double")
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +87,23 @@ def validate_config(cfg) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _numbers(obj, pointer: str, integer: bool = False) -> list:
+    """A JSON list whose entries pass json_number."""
+    if not isinstance(obj, list):
+        raise ConfigError(f"{pointer}: expected a list")
+    return [json_number(x, f"{pointer}/{i}", integer) for i, x in enumerate(obj)]
+
+
 def _parse_u_grid(obj, pointer: str) -> tuple[float, ...]:
     if isinstance(obj, list):
         if not obj:
             raise ConfigError(f"{pointer}: must be nonempty")
-        return tuple(float(x) for x in obj)
+        return tuple(_numbers(obj, pointer))
     if isinstance(obj, dict):
         try:
-            start, stop, step = float(obj["start"]), float(obj["stop"]), float(obj["step"])
+            start, stop, step = (
+                json_number(obj[k], f"{pointer}/{k}") for k in ("start", "stop", "step")
+            )
         except KeyError as exc:
             raise ConfigError(f"{pointer}/{exc.args[0]}: missing required field") from exc
         if step <= 0 or stop < start:
@@ -139,41 +126,40 @@ def _parse_tolerances(cfg) -> ToleranceConfig:
     return dataclasses.replace(DEFAULT_TOLERANCES, **{k: float(v) for k, v in overrides.items()})
 
 
-def _parse_limit_measure(obj, pointer: str):
+#: the one-atom measure kinds: kind -> (site, field holding the mass)
+_ONE_ATOM = {"dirac_zero": (0.0, "mass"), "scaled_dirac_one": (1.0, "lambda")}
+
+
+def _parse_measure(obj, pointer: str) -> AccumMeasure:
+    """An accumulation measure: dirac_zero is {"atoms": [[0, mass]]},
+    scaled_dirac_one is {"atoms": [[1, lambda]]}, explicit holds one."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{pointer}: expected an object")
     kind = obj.get("kind")
-    if kind == "dirac_zero":
-        return DiracAtZero(float(obj.get("mass", 1.0)))
-    if kind == "scaled_dirac_one":
-        return ScaledDiracAtOne(float(obj.get("lambda", 1.0)))
-    if kind == "explicit":
-        if "measure" not in obj:
-            raise ConfigError(f"{pointer}/measure: missing required field")
-        return ExplicitLimit(measure_from_json(obj["measure"], f"{pointer}/measure"))
-    raise ConfigError(f"{pointer}/kind: expected dirac_zero | scaled_dirac_one | explicit")
-
-
-def _parse_measure(cfg, pointer: str) -> AccumMeasure:
-    obj = cfg["measure"]
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{pointer}: expected an object")
-    kind = obj.get("kind")
-    if kind == "from_array":
-        gen = generator_from_json(cfg["array"], "/array")
-        n = obj.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError(f"{pointer}/n: expected a positive integer")
-        return build_accum(gen.row(n), bool(obj.get("centered", True)))
     if kind == "explicit":
         if "measure" not in obj:
             raise ConfigError(f"{pointer}/measure: missing required field")
         return measure_from_json(obj["measure"], f"{pointer}/measure")
-    if kind in ("dirac_zero", "scaled_dirac_one"):
-        return _parse_limit_measure(obj, pointer).to_measure()
-    raise ConfigError(
-        f"{pointer}/kind: expected dirac_zero | scaled_dirac_one | explicit | from_array"
-    )
+    if kind not in _ONE_ATOM:
+        raise ConfigError(f"{pointer}/kind: expected dirac_zero | scaled_dirac_one | explicit")
+    site, field = _ONE_ATOM[kind]
+    mass = json_number(obj.get(field, 1.0), f"{pointer}/{field}")
+    if not mass > 0.0:
+        raise ConfigError(f"{pointer}/{field}: must be positive, got {mass!r}")
+    return AccumMeasure(atoms=((site, mass),))
+
+
+def _sweep_measure(cfg) -> AccumMeasure:
+    """/measure of psi-sweep and poisson-approx: a measure form, or from_array,
+    the accumulation measure of row n of /array."""
+    obj = cfg["measure"]
+    if not (isinstance(obj, dict) and obj.get("kind") == "from_array"):
+        return _parse_measure(obj, "/measure")
+    gen = generator_from_json(cfg["array"], "/array")
+    n = json_number(obj.get("n"), "/measure/n", integer=True)
+    if n < 1:
+        raise ConfigError("/measure/n: expected a positive integer")
+    return build_accum(gen.row(n), bool(obj.get("centered", True)))
 
 
 def _parse_sim_limit(obj, pointer: str):
@@ -309,12 +295,11 @@ def _run_verdict_poisson(cfg, tolerances, seed):
 
 def _run_verdict_general(cfg, tolerances, seed):
     gen = generator_from_json(cfg["array"], "/array")
-    limit = _parse_limit_measure(cfg["limit"], "/limit")
     shift = cfg.get("shift_target")
     rep = general_verdict(
         gen,
         cfg["n_list"],
-        limit,
+        _parse_measure(cfg["limit"], "/limit"),
         None if shift is None else float(shift),
         [float(x) for x in cfg["grid"]],
         tolerances,
@@ -329,7 +314,7 @@ def _run_verdict_general(cfg, tolerances, seed):
 
 
 def _run_psi_sweep(cfg, tolerances, seed):
-    measure = _parse_measure(cfg, "/measure")
+    measure = _sweep_measure(cfg)
     u_grid = _parse_u_grid(cfg["u_grid"], "/u_grid")
     rows = []
     for u in u_grid:
@@ -357,15 +342,11 @@ def _run_psi_sweep(cfg, tolerances, seed):
 
 
 def _run_poisson_approx(cfg, tolerances, seed):
-    measure = _parse_measure(cfg, "/measure")
+    measure = _sweep_measure(cfg)
     u_grid = _parse_u_grid(cfg["u_grid"], "/u_grid")
     window = float(cfg["window"])
     cells = cfg["mesh_cells"]
-    if (
-        not isinstance(cells, list)
-        or not cells
-        or not all(isinstance(c, int) and c >= 2 for c in cells)
-    ):
+    if not cells or min(cells) < 2:
         raise ConfigError("/mesh_cells: expected a nonempty list of integers >= 2")
     rows = []
     last_product = None
@@ -403,7 +384,7 @@ def _run_simulate(cfg, tolerances, seed):
     plan = SimulationPlan(
         generator=gen,
         n_list=tuple(cfg["n_list"]),
-        samples_per_n=int(cfg["samples_per_n"]),
+        samples_per_n=cfg["samples_per_n"],
         seed=seed,
         u_grid=_parse_u_grid(cfg["u_grid"], "/u_grid"),
         limit=limit,
@@ -451,14 +432,30 @@ def _run_simulate(cfg, tolerances, seed):
     return passed, summary, tables, plots, extra
 
 
-_RUNNERS = {
-    "hypotheses": _run_hypotheses,
-    "verdict-gaussian": _run_verdict_gaussian,
-    "verdict-poisson": _run_verdict_poisson,
-    "verdict-general": _run_verdict_general,
-    "psi-sweep": _run_psi_sweep,
-    "poisson-approx": _run_poisson_approx,
-    "simulate": _run_simulate,
+class _Task(NamedTuple):
+    run: Callable
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+#: task name -> its runner, required fields and optional fields, in the order
+#: the unknown-task message lists them
+TASKS = {
+    "hypotheses": _Task(_run_hypotheses, ("array", "n_list", "eps_list"), ("c_target",)),
+    "verdict-gaussian": _Task(_run_verdict_gaussian, ("array", "n_list", "eps_list")),
+    "verdict-poisson": _Task(_run_verdict_poisson, ("array", "n_list", "eps_list", "target")),
+    "verdict-general": _Task(
+        _run_verdict_general, ("array", "n_list", "limit", "grid"), ("shift_target", "eps_list")
+    ),
+    "psi-sweep": _Task(_run_psi_sweep, ("measure", "u_grid"), ("array",)),
+    "poisson-approx": _Task(
+        _run_poisson_approx, ("measure", "window", "mesh_cells", "u_grid"), ("array",)
+    ),
+    "simulate": _Task(
+        _run_simulate,
+        ("array", "n_list", "samples_per_n", "seed", "u_grid", "limit"),
+        ("ks_threshold", "ecf_threshold", "dump_samples"),
+    ),
 }
 
 
@@ -521,9 +518,10 @@ def _reject_non_finite(literal: str):
 
 
 def _first_non_finite(obj, pointer: str = "") -> str | None:
-    """JSON pointer of the first non-finite number in document order."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return pointer
+    """JSON pointer of the first number a double cannot hold, in document
+    order: NaN, an infinity, or an integer past the largest double."""
+    if isinstance(obj, (int, float)):
+        return None if abs(obj) <= sys.float_info.max else pointer
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, list):
@@ -562,8 +560,9 @@ def main(argv=None) -> int:
         )
         return 3
     except ConfigError as exc:
-        # only a failing config pays for the walk that finds the pointer
-        print(f"config error: {_first_non_finite(json.loads(text)) or '/'}: {exc}", file=sys.stderr)
+        # a failing config alone pays for this walk; numbers as text leave only the literal
+        literal = _first_non_finite(json.loads(text, parse_int=str, parse_float=str))
+        print(f"config error: {literal or '/'}: {exc}", file=sys.stderr)
         return 3
     try:
         validate_config(cfg)
@@ -582,8 +581,8 @@ def main(argv=None) -> int:
     task = cfg["task"]
     try:
         tracker.ensure_dir("")
-        passed, results, tables, plots, extra = _RUNNERS[task](cfg, tolerances, seed)
-        summary_text = results.pop("summary_text", None) if isinstance(results, dict) else None
+        passed, results, tables, plots, extra = TASKS[task].run(cfg, tolerances, seed)
+        summary_text = results.pop("summary_text", None)
         artifacts = {"tables": [], "plots": [], "extra": []}
         for rel, header, rows in tables:
             tracker.write(rel, _csv_text(header, rows))
@@ -598,7 +597,7 @@ def main(argv=None) -> int:
         report = {
             "task": task,
             "passed": passed,
-            "reasons": results.get("verdict", {}).get("reasons", []) if isinstance(results, dict) else [],
+            "reasons": results.get("verdict", {}).get("reasons", []),
             "seed": seed,
             "config": cfg,
             "results": results,

@@ -16,13 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .accumulation import (
-    AccumMeasure,
-    LimitMeasureSpec,
-    ScaledDiracAtOne,
-    build_accum,
-    preweak_distance,
-)
+from .accumulation import AccumMeasure, build_accum, preweak_distance
 from .arrays import (
     ArrayGenerator,
     HypothesisReport,
@@ -295,7 +289,7 @@ def poisson_verdict(
             _trend(f"lindeberg-poisson eps={eps!r}", f"g_n,pois({eps!r})", col, tolerances.exact_stat)
         )
 
-    predicted = limit_char_fn(ScaledDiracAtOne(lam).to_measure(), b_target + lam)
+    predicted = limit_char_fn(AccumMeasure(atoms=((1.0, lam),)), b_target + lam)
     return _finish(
         "verdict-poisson", n_list, eps_list, hyp,
         {"mv": mv, "b": bvals, "a": avals},
@@ -308,7 +302,7 @@ def poisson_verdict(
 def general_verdict(
     gen: ArrayGenerator,
     n_list: Sequence[int],
-    limit: LimitMeasureSpec,
+    limit: AccumMeasure,
     shift_target: float | None,
     grid: Sequence[float],
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -319,7 +313,7 @@ def general_verdict(
     n_list = _validate_n_list(n_list)
     eps_list = _validate_eps_list(eps_list)
     rows = [gen.row(n) for n in n_list]
-    hyp = hypothesis_check(gen, n_list, eps_list, c_target=limit.total(), tol=tolerances.coarse_stat)
+    hyp = hypothesis_check(gen, n_list, eps_list, c_target=limit.total_mass, tol=tolerances.coarse_stat)
     measures = [build_accum(r, center=True) for r in rows]
     dists = preweak_distance(measures, limit, grid)
     avals = hyp.a
@@ -335,7 +329,7 @@ def general_verdict(
             _trend("drift", f"|a_n - {shift_target!r}|", [abs(x - shift_target) for x in avals], tolerances.exact_stat)
         )
 
-    predicted = limit_char_fn(limit.to_measure(), 0.0 if shift_target is None else shift_target)
+    predicted = limit_char_fn(limit, 0.0 if shift_target is None else shift_target)
     return _finish(
         "verdict-general", n_list, eps_list, hyp,
         {

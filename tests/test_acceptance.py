@@ -9,16 +9,15 @@ import json
 import math
 
 from summand_lab import (
+    AccumMeasure,
     BernoulliPoisson,
     CauchyCF,
     Degenerate,
-    DiracAtZero,
     ExplicitArray,
     FiniteDiscrete,
     GammaCF,
     GaussianCF,
     RowSpec,
-    ScaledDiracAtOne,
     StandardizedIid,
     TranslatedPoissonCF,
     Uniform,
@@ -61,11 +60,11 @@ def mixed_row() -> RowSpec:
 def test_c01_exponent_closed_form_oracles():
     u_grid = [i / 10.0 for i in range(-100, 101)]
     worst = 0.0
-    m0 = DiracAtZero(1.0).to_measure()
+    m0 = AccumMeasure(atoms=((0.0, 1.0),))
     for u in u_grid:
         worst = max(worst, abs(exponent_eval(m0, u) - complex(-0.5 * u * u, 0.0)))
     lam = 2.0
-    m1 = ScaledDiracAtOne(lam).to_measure()
+    m1 = AccumMeasure(atoms=((1.0, lam),))
     for u in u_grid:
         ref = lam * (cmath.exp(1j * u) - 1.0 - 1j * u)
         worst = max(worst, abs(exponent_eval(m1, u) - ref))
@@ -103,7 +102,7 @@ def test_c03_poisson_pipeline():
 def test_c04_accumulation_convergence():
     gen = StandardizedIid(RADEMACHER)
     grid = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-    limit = DiracAtZero(1.0)
+    limit = AccumMeasure(atoms=((0.0, 1.0),))
     # all approximation error vanishes from n >= 5 (atoms strictly inside the
     # innermost grid gap); what remains is input-representation rounding, and
     # the deviation is literally 0.0 whenever 1/sqrt(n) is dyadic
@@ -121,7 +120,7 @@ def test_c04_accumulation_convergence():
     bp_ok = True
     for n in N_LIST:
         d = preweak_distance(
-            [build_accum(bp.row(n), center=True)], ScaledDiracAtOne(1.0), (0.5, 1.5)
+            [build_accum(bp.row(n), center=True)], AccumMeasure(atoms=((1.0, 1.0),)), (0.5, 1.5)
         )[0]
         bp_ok = bp_ok and d.sup_deviation <= 3.0 / n
     ok = worst <= 2.0 ** -50 and exact_ok and bp_ok
@@ -208,8 +207,8 @@ def test_c08_curvature_identity():
         "rademacher K_16": build_accum(StandardizedIid(RADEMACHER).row(16), center=False),
         "bernoulli K*_100": build_accum(BernoulliPoisson(1.0).row(100), center=True),
         "mixed": build_accum(mixed_row(), center=False),
-        "dirac0": DiracAtZero(1.0).to_measure(),
-        "dirac1(2)": ScaledDiracAtOne(2.0).to_measure(),
+        "dirac0": AccumMeasure(atoms=((0.0, 1.0),)),
+        "dirac1(2)": AccumMeasure(atoms=((1.0, 2.0),)),
     }
     worst = 0.0
     for name, m in measures.items():

@@ -1,16 +1,16 @@
 """Accumulation measures: construction, CDF evaluation, pre-weak distances."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from summand_lab import (
     AccumMeasure,
-    DiracAtZero,
     DiscontinuityPointError,
-    ExplicitLimit,
     FiniteDiscrete,
     Gaussian,
     RowSpec,
-    ScaledDiracAtOne,
     Uniform,
     build_accum,
     preweak_distance,
@@ -86,7 +86,7 @@ def test_atom_merging_and_validation():
 
 def test_preweak_rademacher_vs_dirac(rademacher_gen):
     grid = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-    limit = DiracAtZero(1.0)
+    limit = AccumMeasure(atoms=((0.0, 1.0),))
     # n = 4 puts atoms exactly at +-0.5: half the mass sits at or below -0.5
     d4 = preweak_distance([build_accum(rademacher_gen.row(4), False)], limit, grid)[0]
     assert d4.sup_deviation == pytest.approx(0.5, abs=1e-15)
@@ -101,7 +101,7 @@ def test_preweak_rademacher_vs_dirac(rademacher_gen):
 
 
 def test_preweak_bernoulli_vs_scaled_dirac(bernoulli_gen):
-    limit = ScaledDiracAtOne(1.0)
+    limit = AccumMeasure(atoms=((1.0, 1.0),))
     for n in (100, 1000, 10000):
         m = build_accum(bernoulli_gen.row(n), center=True)
         d = preweak_distance([m], limit, (0.5, 1.5))[0]
@@ -112,19 +112,33 @@ def test_preweak_bernoulli_vs_scaled_dirac(bernoulli_gen):
 
 def test_preweak_self_is_zero(rademacher_gen):
     m = build_accum(rademacher_gen.row(7), center=False)
-    d = preweak_distance([m], ExplicitLimit(m), (-0.9, 0.1, 0.9))[0]
+    d = preweak_distance([m], m, (-0.9, 0.1, 0.9))[0]
     assert d.sup_deviation == 0.0
     assert d.mass_gap == 0.0
+
+
+ONE_ATOM = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@ONE_ATOM
+@given(
+    st.sampled_from((0.0, 1.0)),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.one_of(finite, st.sampled_from((-1.0, -0.0, 0.0, 1.0, 2.0))),
+)
+def test_one_atom_measure_is_the_step(s, m, x):
+    # dirac_zero and scaled_dirac_one limits: K(x) = m 1_(x >= s), bit for bit
+    k = AccumMeasure(atoms=((s, m),))
+    assert k.total_mass.hex() == m.hex()
+    for y in (x, s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)):
+        assert k.cdf(y).hex() == (m if y >= s else 0.0).hex()
 
 
 def test_discontinuity_grid_rejected(rademacher_gen):
     m = build_accum(rademacher_gen.row(9), center=False)
     with pytest.raises(DiscontinuityPointError):
-        preweak_distance([m], DiracAtZero(1.0), (0.0, 1.0))
-    with pytest.raises(DiscontinuityPointError):
-        preweak_distance([m], ScaledDiracAtOne(1.0), (0.99, 2.0), exclusion=0.05)
-    # outside the exclusion radius the same point is fine
-    preweak_distance([m], ScaledDiracAtOne(1.0), (0.99, 2.0), exclusion=0.001)
+        preweak_distance([m], AccumMeasure(atoms=((0.0, 1.0),)), (0.0, 1.0))
 
 
 def test_portmanteau_atom_mass_vanishes(rademacher_gen):

@@ -20,7 +20,6 @@ from summand_lab import (
     PoissonTypeTerm,
     PowerCF,
     ProductCF,
-    ScaledDiracAtOne,
     TranslatedPoissonCF,
     conjugate_and_norm,
     eval_cf,
@@ -44,7 +43,7 @@ FAMILIES = [
 
 ALL_SPECS = FAMILIES + [
     PoissonTypeProduct((PoissonTypeTerm(0.5, 1.2, -0.7, 0.1), PoissonTypeTerm(0.0, 0.4, 1.5))),
-    KolmogorovCF(0.3, ScaledDiracAtOne(2.0).to_measure()),
+    KolmogorovCF(0.3, AccumMeasure(atoms=((1.0, 2.0),))),
     ProductCF((GaussianCF(0.0, 1.0), CauchyCF(0.0, 0.5))),
     PowerCF(GammaCF(3.0, 2.0), 4),
     ConjugateCF(TranslatedPoissonCF(1.0, 0.7)),
@@ -122,7 +121,7 @@ def test_root_of_poisson_type_and_kolmogorov():
     prod = PoissonTypeProduct((PoissonTypeTerm(0.6, 1.2, -0.7, 0.3),))
     r = pth_root(prod, 3)
     assert r.terms[0] == PoissonTypeTerm(0.6 / 3, 1.2 / 3, -0.7, 0.3 / 3)
-    k = KolmogorovCF(0.9, ScaledDiracAtOne(3.0).to_measure())
+    k = KolmogorovCF(0.9, AccumMeasure(atoms=((1.0, 3.0),)))
     rk = pth_root(k, 3)
     assert rk.shift == pytest.approx(0.3)
     assert rk.measure.total_mass == pytest.approx(1.0)

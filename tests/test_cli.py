@@ -194,6 +194,79 @@ def test_non_finite_config_value_is_named_by_its_pointer(tmp_path, capsys):
     assert "config error: /array/rows/1/components/1/var: " in capsys.readouterr().err
 
 
+def _hypotheses(**fields):
+    return dict({"task": "hypotheses", "array": RADEMACHER_ARRAY, "n_list": [10, 100],
+                 "eps_list": [0.5]}, **fields)
+
+
+def _sweep(measure):
+    return {"task": "psi-sweep", "measure": measure, "u_grid": [0.5, 1.0]}
+
+
+_SHORT_ATOM = {"atoms": [[1.0]]}
+_TWIN_ROWS = {"generator": "explicit", "rows": [
+    {"n": 10, "components": [{"kind": "gaussian", "mean": 0.0, "var": 1.0}]},
+    {"n": 10, "components": [{"kind": "gaussian", "mean": 0.0, "var": 0.5}]},
+]}
+# a number literal too large for a double, in place of "c_target": 1.0
+_HUGE = json.dumps(_hypotheses(c_target=1.0))
+REFUSED = {
+    "short-atom": (_sweep({"kind": "explicit", "measure": _SHORT_ATOM}),
+                   "/measure/measure/atoms/0: expected [site, mass]"),
+    "short-atom-in-a-cf-limit": (
+        {"task": "simulate", "array": RADEMACHER_ARRAY, "n_list": [10], "samples_per_n": 100,
+         "seed": 1, "u_grid": [0.5],
+         "limit": {"kind": "cf", "spec": {"family": "kolmogorov",
+                                          "params": {"shift": 0.0, "measure": _SHORT_ATOM}}}},
+        "/limit/spec/params/measure/atoms/0: expected [site, mass]"),
+    "piece-without-dist": (_sweep({"kind": "explicit", "measure": {"pieces": [{"weight": 1.0}]}}),
+                           "/measure/measure/pieces/0: "),
+    "exponent-overflow": (_HUGE.replace('"c_target": 1.0', '"c_target": 1e999'), "/c_target: "),
+    "long-float-literal": (_HUGE.replace('"c_target": 1.0', '"c_target": ' + "9" * 400 + ".0"),
+                           "/c_target: "),
+    "long-integer": (_HUGE.replace('"c_target": 1.0', '"c_target": ' + "9" * 401), "/c_target: "),
+    # the pointer names the literal, not the long integer before it
+    "nan-after-a-long-integer": (
+        _HUGE.replace('"c_target": 1.0', '"seed": ' + "9" * 401 + ', "c_target": NaN'),
+        "/c_target: Out of range float values are not JSON compliant: NaN"),
+    "fractional-n": (_hypotheses(n_list=[10.9, 100]), "/n_list/0: expected an integer"),
+    "boolean-n": (_hypotheses(n_list=[True, 100]), "/n_list/0: expected an integer"),
+    "string-eps": (_hypotheses(eps_list=["0.5"]), "/eps_list/0: expected a number"),
+    "string-grid": ({"task": "verdict-general", "array": RADEMACHER_ARRAY, "n_list": [10, 100],
+                     "limit": {"kind": "dirac_zero"}, "grid": [0.5, "1.5"]},
+                    "/grid/1: expected a number"),
+    "string-u": (_sweep({"kind": "dirac_zero"}) | {"u_grid": [0.5, "1"]}, "/u_grid/1: "),
+    "fractional-seed": (_hypotheses(seed=1.5), "/seed: expected an integer"),
+    "fractional-samples": (
+        {"task": "simulate", "array": RADEMACHER_ARRAY, "n_list": [10], "samples_per_n": 100.5,
+         "seed": 1, "u_grid": [0.5], "limit": {"kind": "std_gaussian"}},
+        "/samples_per_n: expected an integer"),
+    "repeated-row": (_hypotheses(array=_TWIN_ROWS, n_list=[10]),
+                     "/array/rows/1/n: row n=10 repeats an earlier row"),
+    "zero-mass": (_sweep({"kind": "dirac_zero", "mass": 0}), "/measure/mass: must be positive"),
+    "negative-mass": (_sweep({"kind": "dirac_zero", "mass": -1}), "/measure/mass: must be positive"),
+    "string-mass": (_sweep({"kind": "dirac_zero", "mass": "x"}), "/measure/mass: expected a number"),
+    "zero-lambda": (_sweep({"kind": "scaled_dirac_one", "lambda": 0}),
+                    "/measure/lambda: must be positive"),
+    "zero-limit-mass": ({"task": "verdict-general", "array": RADEMACHER_ARRAY, "n_list": [10, 100],
+                         "limit": {"kind": "dirac_zero", "mass": 0}, "grid": [0.5]},
+                        "/limit/mass: must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_malformed_config_is_refused_with_its_pointer(tmp_path, capsys, case):
+    cfg, pointer = REFUSED[case]
+    p = tmp_path / "bad.json"
+    p.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(p), "--out-dir", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: {pointer}" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _explicit_array(ns, seed):
     """Rows of distinct centered components, a third of each family, with
     variances summing to 1 per row."""

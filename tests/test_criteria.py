@@ -6,13 +6,12 @@ import math
 import pytest
 
 from summand_lab import (
+    AccumMeasure,
     ComparisonRegimeError,
-    DiracAtZero,
     ExplicitArray,
     FiniteDiscrete,
     NonCenteredRowError,
     RowSpec,
-    ScaledDiracAtOne,
     build_accum,
     comparison_residual,
     eval_cf,
@@ -165,7 +164,9 @@ def test_verdicts_reject_an_empty_eps_list(rademacher_gen, bernoulli_gen):
     with pytest.raises(ValueError, match="eps_list must be nonempty"):
         poisson_verdict(bernoulli_gen, (10, 100), (), (0.0, 1.0))
     with pytest.raises(ValueError, match="eps_list must be nonempty"):
-        general_verdict(rademacher_gen, (10, 100), DiracAtZero(1.0), 0.0, (0.5,), eps_list=())
+        general_verdict(
+            rademacher_gen, (10, 100), AccumMeasure(atoms=((0.0, 1.0),)), 0.0, (0.5,), eps_list=()
+        )
 
 
 def test_poisson_verdict_passes(bernoulli_gen):
@@ -198,7 +199,8 @@ def test_poisson_verdict_rademacher_fails(rademacher_gen):
 
 def test_general_verdict_rademacher(rademacher_gen):
     rep = general_verdict(
-        rademacher_gen, N_LIST, DiracAtZero(1.0), 0.0, (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+        rademacher_gen, N_LIST, AccumMeasure(atoms=((0.0, 1.0),)), 0.0,
+        (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
     )
     assert rep.passed
     assert max(rep.columns["sup_deviation"]) <= 1e-14
@@ -207,13 +209,17 @@ def test_general_verdict_rademacher(rademacher_gen):
 
 
 def test_general_verdict_bernoulli(bernoulli_gen):
-    rep = general_verdict(bernoulli_gen, N_LIST, ScaledDiracAtOne(1.0), 1.0, (0.5, 1.5))
+    rep = general_verdict(
+        bernoulli_gen, N_LIST, AccumMeasure(atoms=((1.0, 1.0),)), 1.0, (0.5, 1.5)
+    )
     assert rep.passed
     assert rep.columns["sup_deviation"][-1] == pytest.approx(1e-4, rel=1e-8)
 
 
 def test_general_verdict_mismatched_limit_fails(rademacher_gen):
-    rep = general_verdict(rademacher_gen, N_LIST, ScaledDiracAtOne(1.0), None, (0.5, 1.5))
+    rep = general_verdict(
+        rademacher_gen, N_LIST, AccumMeasure(atoms=((1.0, 1.0),)), None, (0.5, 1.5)
+    )
     assert not rep.passed
     assert "preweak-distance" in rep.reasons
     # the failure is structural: K_n(0.5) -> 1 while the limit has 0 there
@@ -223,7 +229,9 @@ def test_general_verdict_mismatched_limit_fails(rademacher_gen):
 def test_gaussian_implies_general(rademacher_gen, uniform_gen):
     for gen in (rademacher_gen, uniform_gen):
         assert gaussian_verdict(gen, N_LIST, EPS_LIST).passed
-        assert general_verdict(gen, N_LIST, DiracAtZero(1.0), 0.0, (-1.0, -0.5, 0.5, 1.0)).passed
+        assert general_verdict(
+            gen, N_LIST, AccumMeasure(atoms=((0.0, 1.0),)), 0.0, (-1.0, -0.5, 0.5, 1.0)
+        ).passed
 
 
 def test_report_serialization_stable(bernoulli_gen):

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from summand_lab import (
-    DiracAtZero,
     FiniteDiscrete,
     Gaussian,
     MeshRefinementError,
     RowSpec,
-    ScaledDiracAtOne,
     Uniform,
     build_accum,
     compensated_kernel,
@@ -85,20 +83,20 @@ def test_kernel_branches_agree_near_switch():
 
 
 def test_dirac_zero_gives_parabola():
-    m = DiracAtZero(1.0).to_measure()
+    m = AccumMeasure(atoms=((0.0, 1.0),))
     for u in (-3.0, 0.0, 0.5, 3.0):
         assert exponent_eval(m, u) == complex(-0.5 * u * u, 0.0)
 
 
 def test_scaled_dirac_one_closed_form():
-    ev = exponent_eval(ScaledDiracAtOne(2.0).to_measure(), 1.0)
+    ev = exponent_eval(AccumMeasure(atoms=((1.0, 2.0),)), 1.0)
     # 2 (e^i - 1 - i), frozen at 50 digits
     assert ev.real == pytest.approx(-0.9193953882637205652, abs=1e-15)
     assert ev.imag == pytest.approx(-0.31705803038420698669, abs=1e-15)
 
 
 def test_exponent_zero_is_exact():
-    for m in (mixed_measure(), ScaledDiracAtOne(3.0).to_measure()):
+    for m in (mixed_measure(), AccumMeasure(atoms=((1.0, 3.0),))):
         assert exponent_eval(m, 0.0) == 0.0
 
 
@@ -208,13 +206,13 @@ def test_psi_against_quad_oracle(m, u):
 
 
 def test_curvature_dirac_zero_exact():
-    cv = curvature_check(DiracAtZero(1.0).to_measure(), 1e-4)
+    cv = curvature_check(AccumMeasure(atoms=((0.0, 1.0),)), 1e-4)
     assert cv.second_difference == -1.0
     assert cv.target == -1.0
 
 
 def test_curvature_scaled_dirac_one():
-    cv = curvature_check(ScaledDiracAtOne(1.0).to_measure(), 1e-4)
+    cv = curvature_check(AccumMeasure(atoms=((1.0, 1.0),)), 1e-4)
     assert cv.second_difference == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -226,7 +224,7 @@ def test_curvature_empty_measure():
 
 def test_curvature_rejects_large_step():
     with pytest.raises(ValueError):
-        curvature_check(DiracAtZero(1.0).to_measure(), 0.01)
+        curvature_check(AccumMeasure(atoms=((0.0, 1.0),)), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +234,7 @@ def test_curvature_rejects_large_step():
 
 def test_single_atom_cell_is_exact():
     lam = 1.7
-    m = ScaledDiracAtOne(lam).to_measure()
+    m = AccumMeasure(atoms=((1.0, lam),))
     prod, sup_err = poisson_product_approx(m, 2.0, (-2.0, 0.0, 2.0))
     assert len(prod.terms) == 1
     t = prod.terms[0]
@@ -307,11 +305,11 @@ def test_balanced_straddling_cell_rejected(rademacher_gen):
 
 def test_atom_at_zero_rejected():
     with pytest.raises(MeshRefinementError):
-        poisson_product_approx(DiracAtZero(1.0).to_measure(), 1.0, (-1.0, 0.0, 1.0))
+        poisson_product_approx(AccumMeasure(atoms=((0.0, 1.0),)), 1.0, (-1.0, 0.0, 1.0))
 
 
 def test_mesh_validation():
-    m = ScaledDiracAtOne(1.0).to_measure()
+    m = AccumMeasure(atoms=((1.0, 1.0),))
     with pytest.raises(ValueError):
         poisson_product_approx(m, 2.0, (-2.0,))
     with pytest.raises(ValueError):
@@ -326,7 +324,7 @@ def test_mesh_validation():
 
 
 def test_limit_cf_std_gaussian():
-    cf = limit_char_fn(DiracAtZero(1.0).to_measure(), 0.0)
+    cf = limit_char_fn(AccumMeasure(atoms=((0.0, 1.0),)), 0.0)
     ref = GaussianCF(0.0, 1.0)
     for u in (-4.0, -0.5, 0.0, 1.0, 3.0):
         assert abs(eval_cf(cf, u) - eval_cf(ref, u)) <= 1e-12
@@ -334,7 +332,7 @@ def test_limit_cf_std_gaussian():
 
 def test_limit_cf_translated_poisson():
     b, lam = -1.0, 2.0
-    cf = limit_char_fn(ScaledDiracAtOne(lam).to_measure(), b + lam)
+    cf = limit_char_fn(AccumMeasure(atoms=((1.0, lam),)), b + lam)
     ref = TranslatedPoissonCF(b, lam)
     for u in (-3.0, 0.0, 0.7, 2.0):
         assert abs(eval_cf(cf, u) - eval_cf(ref, u)) <= 1e-12
