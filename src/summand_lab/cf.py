@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accumulation import AccumMeasure, measure_from_json, measure_to_json
-from .arrays import ArraySpecError, exp_sums
+from .arrays import ArraySpecError, exp_sums, json_number
 
 
 class CharFnError(ValueError):
@@ -320,6 +320,19 @@ def to_json(spec: CharFn) -> dict:
     raise TypeError(f"unknown characteristic-function type {type(spec).__name__}")
 
 
+def _param(obj: dict, key: str, pointer: str, default: float | None = None, integer: bool = False):
+    """obj[key] (or default where it is absent) through json_number, which
+    refuses strings, booleans and non-finite values, with its pointer."""
+    if not isinstance(obj, dict):
+        raise CharFnError(f"{pointer}: expected an object")
+    if key not in obj and default is None:
+        raise CharFnError(f"{pointer}/{key}: missing required field")
+    try:
+        return json_number(obj.get(key, default), f"{pointer}/{key}", integer)
+    except ArraySpecError as exc:
+        raise CharFnError(str(exc)) from None
+
+
 def from_json(obj, path: str = "") -> CharFn:
     if not isinstance(obj, dict):
         raise CharFnError(f"{path or '/'}: expected an object")
@@ -332,35 +345,38 @@ def from_json(obj, path: str = "") -> CharFn:
     pp = f"{path}/params"
     try:
         if family == "degenerate":
-            return Degenerate(float(params["a"]))
+            return Degenerate(_param(params, "a", pp))
         if family == "gaussian":
-            return GaussianCF(float(params["m"]), float(params["var"]))
+            return GaussianCF(_param(params, "m", pp), _param(params, "var", pp))
         if family == "translated_poisson":
-            return TranslatedPoissonCF(float(params["a"]), float(params["lambda"]))
+            return TranslatedPoissonCF(_param(params, "a", pp), _param(params, "lambda", pp))
         if family == "gamma":
-            return GammaCF(float(params["shape"]), float(params["rate"]))
+            return GammaCF(_param(params, "shape", pp), _param(params, "rate", pp))
         if family == "cauchy":
-            return CauchyCF(float(params["loc"]), float(params["scale"]))
+            return CauchyCF(_param(params, "loc", pp), _param(params, "scale", pp))
         if family == "poisson_type_product":
             return PoissonTypeProduct(
                 tuple(
                     PoissonTypeTerm(
-                        float(t["drift"]), float(t["intensity"]), float(t["site"]),
-                        float(t.get("shift", 0.0)),
+                        *(_param(t, k, f"{pp}/terms/{i}") for k in ("drift", "intensity", "site")),
+                        _param(t, "shift", f"{pp}/terms/{i}", default=0.0),
                     )
-                    for t in params["terms"]
+                    for i, t in enumerate(params["terms"])
                 )
             )
         if family == "kolmogorov":
             return KolmogorovCF(
-                float(params["shift"]), measure_from_json(params["measure"], f"{pp}/measure")
+                _param(params, "shift", pp), measure_from_json(params["measure"], f"{pp}/measure")
             )
         if family == "product":
             return ProductCF(
                 tuple(from_json(f, f"{pp}/factors/{i}") for i, f in enumerate(params["factors"]))
             )
         if family == "power":
-            return PowerCF(from_json(params["base"], f"{pp}/base"), int(params["p"]))
+            p = _param(params, "p", pp, integer=True)
+            if p < 1:
+                raise CharFnError(f"{pp}/p: expected an integer >= 1, got {p}")
+            return PowerCF(from_json(params["base"], f"{pp}/base"), p)
         if family == "conjugate":
             return ConjugateCF(from_json(params["base"], f"{pp}/base"))
     except KeyError as exc:

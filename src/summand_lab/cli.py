@@ -44,6 +44,8 @@ _COMMON = ("task", "out_dir", "seed", "plots", "tolerances")
 _COUNTS = ("seed", "samples_per_n")
 #: fields holding a list of JSON numbers: name -> whether its entries are integers
 _LISTS = {"n_list": True, "eps_list": False, "grid": False, "mesh_cells": True}
+#: fields holding a JSON boolean
+_FLAGS = ("plots", "dump_samples")
 
 
 class ConfigError(ValueError):
@@ -76,6 +78,9 @@ def validate_config(cfg) -> None:
     for field, integer in _LISTS.items():
         if field in cfg:
             _numbers(cfg[field], f"/{field}", integer)
+    for field in _FLAGS:
+        if field in cfg:
+            _flag(cfg[field], f"/{field}")
     # the component parsers check every number under /array themselves
     bad = _first_non_finite({k: v for k, v in cfg.items() if k != "array"})
     if bad is not None:
@@ -85,6 +90,18 @@ def validate_config(cfg) -> None:
 # ---------------------------------------------------------------------------
 # Field parsers
 # ---------------------------------------------------------------------------
+
+
+def _flag(v, pointer: str) -> bool:
+    """A JSON boolean; a string such as "no" is refused, not read as true."""
+    if not isinstance(v, bool):
+        raise ConfigError(f"{pointer}: expected a boolean, got {v!r}")
+    return v
+
+
+def _optional_number(v, pointer: str) -> float | None:
+    """A JSON number, or None where the field is absent or null."""
+    return None if v is None else json_number(v, pointer)
 
 
 def _numbers(obj, pointer: str, integer: bool = False) -> list:
@@ -123,7 +140,10 @@ def _parse_tolerances(cfg) -> ToleranceConfig:
     unknown = set(overrides) - allowed
     if unknown:
         raise ConfigError(f"/tolerances: unknown fields {sorted(unknown)}")
-    return dataclasses.replace(DEFAULT_TOLERANCES, **{k: float(v) for k, v in overrides.items()})
+    return dataclasses.replace(
+        DEFAULT_TOLERANCES,
+        **{k: json_number(v, f"/tolerances/{k}") for k, v in overrides.items()},
+    )
 
 
 #: the one-atom measure kinds: kind -> (site, field holding the mass)
@@ -159,7 +179,7 @@ def _sweep_measure(cfg) -> AccumMeasure:
     n = json_number(obj.get("n"), "/measure/n", integer=True)
     if n < 1:
         raise ConfigError("/measure/n: expected a positive integer")
-    return build_accum(gen.row(n), bool(obj.get("centered", True)))
+    return build_accum(gen.row(n), _flag(obj.get("centered", True), "/measure/centered"))
 
 
 def _parse_sim_limit(obj, pointer: str):
@@ -169,7 +189,10 @@ def _parse_sim_limit(obj, pointer: str):
     if kind == "std_gaussian":
         return std_gaussian_limit()
     if kind == "translated_poisson":
-        return translated_poisson_limit(float(obj.get("b", 0.0)), float(obj.get("lambda", 1.0)))
+        return translated_poisson_limit(
+            json_number(obj.get("b", 0.0), f"{pointer}/b"),
+            json_number(obj.get("lambda", 1.0), f"{pointer}/lambda"),
+        )
     if kind == "cf":
         if "spec" not in obj:
             raise ConfigError(f"{pointer}/spec: missing required field")
@@ -189,6 +212,8 @@ def _log_n(n_list):
 
 def _run_hypotheses(cfg, tolerances, seed):
     gen = generator_from_json(cfg["array"], "/array")
+    # checked, but passed on as written: the report echoes it
+    _optional_number(cfg.get("c_target"), "/c_target")
     hyp = hypothesis_check(
         gen,
         cfg["n_list"],
@@ -286,21 +311,19 @@ def _run_verdict_poisson(cfg, tolerances, seed):
     target = cfg["target"]
     if not isinstance(target, dict) or "b" not in target or "lambda" not in target:
         raise ConfigError("/target: expected an object with 'b' and 'lambda'")
-    rep = poisson_verdict(
-        gen, cfg["n_list"], cfg["eps_list"], (float(target["b"]), float(target["lambda"])), tolerances
-    )
+    b, lam = (json_number(target[k], f"/target/{k}") for k in ("b", "lambda"))
+    rep = poisson_verdict(gen, cfg["n_list"], cfg["eps_list"], (b, lam), tolerances)
     tables, plots = _verdict_tables(rep)
     return rep.passed, {"verdict": rep.to_dict(), "summary_text": rep.to_text()}, tables, plots, []
 
 
 def _run_verdict_general(cfg, tolerances, seed):
     gen = generator_from_json(cfg["array"], "/array")
-    shift = cfg.get("shift_target")
     rep = general_verdict(
         gen,
         cfg["n_list"],
         _parse_measure(cfg["limit"], "/limit"),
-        None if shift is None else float(shift),
+        _optional_number(cfg.get("shift_target"), "/shift_target"),
         [float(x) for x in cfg["grid"]],
         tolerances,
         eps_list=[float(e) for e in cfg.get("eps_list", [0.5])],
@@ -344,7 +367,7 @@ def _run_psi_sweep(cfg, tolerances, seed):
 def _run_poisson_approx(cfg, tolerances, seed):
     measure = _sweep_measure(cfg)
     u_grid = _parse_u_grid(cfg["u_grid"], "/u_grid")
-    window = float(cfg["window"])
+    window = json_number(cfg["window"], "/window")
     cells = cfg["mesh_cells"]
     if not cells or min(cells) < 2:
         raise ConfigError("/mesh_cells: expected a nonempty list of integers >= 2")
@@ -389,7 +412,9 @@ def _run_simulate(cfg, tolerances, seed):
         u_grid=_parse_u_grid(cfg["u_grid"], "/u_grid"),
         limit=limit,
     )
-    dump = bool(cfg.get("dump_samples", False))
+    ks_threshold = _optional_number(cfg.get("ks_threshold"), "/ks_threshold")
+    ecf_threshold = _optional_number(cfg.get("ecf_threshold"), "/ecf_threshold")
+    dump = cfg.get("dump_samples", False)
     results, kept = run_simulation(plan, keep_samples=dump)
     rows = [[r.n, r.ks, r.ecf, r.samples_per_n, r.seed] for r in results]
     tables = [
@@ -416,12 +441,10 @@ def _run_simulate(cfg, tolerances, seed):
             extra.append((f"tables/samples_{n}.csv", buf.getvalue()))
 
     passed = True
-    ks_threshold = cfg.get("ks_threshold")
-    ecf_threshold = cfg.get("ecf_threshold")
     if ks_threshold is not None and limit.cdf is not None:
-        passed = passed and all(r.ks <= float(ks_threshold) for r in results)
+        passed = passed and all(r.ks <= ks_threshold for r in results)
     if ecf_threshold is not None:
-        passed = passed and all(r.ecf <= float(ecf_threshold) for r in results)
+        passed = passed and all(r.ecf <= ecf_threshold for r in results)
     summary = {
         "limit": limit.label,
         "rows": [

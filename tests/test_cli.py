@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr as scipy_ndtr
 
 from summand_lab import row_statistics
 from summand_lab.arrays import generator_from_json
-from summand_lab.cli import main
+from summand_lab.cf import eval_cf
+from summand_lab.cli import _parse_sim_limit, main
+from summand_lab.montecarlo import ecf_distance, ks_distance
 from summand_lab.svgplot import PlotError, line_plot_svg
 
 RADEMACHER_ARRAY = {
@@ -203,6 +206,16 @@ def _sweep(measure):
     return {"task": "psi-sweep", "measure": measure, "u_grid": [0.5, 1.0]}
 
 
+def _simulate(limit, **fields):
+    return dict({"task": "simulate", "array": RADEMACHER_ARRAY, "n_list": [10],
+                 "samples_per_n": 100, "seed": 1, "u_grid": [0.5], "limit": limit}, **fields)
+
+
+def _power(p):
+    return {"kind": "cf", "spec": {"family": "power", "params": {
+        "base": {"family": "gaussian", "params": {"m": 0.0, "var": 1.0}}, "p": p}}}
+
+
 _SHORT_ATOM = {"atoms": [[1.0]]}
 _TWIN_ROWS = {"generator": "explicit", "rows": [
     {"n": 10, "components": [{"kind": "gaussian", "mean": 0.0, "var": 1.0}]},
@@ -214,10 +227,8 @@ REFUSED = {
     "short-atom": (_sweep({"kind": "explicit", "measure": _SHORT_ATOM}),
                    "/measure/measure/atoms/0: expected [site, mass]"),
     "short-atom-in-a-cf-limit": (
-        {"task": "simulate", "array": RADEMACHER_ARRAY, "n_list": [10], "samples_per_n": 100,
-         "seed": 1, "u_grid": [0.5],
-         "limit": {"kind": "cf", "spec": {"family": "kolmogorov",
-                                          "params": {"shift": 0.0, "measure": _SHORT_ATOM}}}},
+        _simulate({"kind": "cf", "spec": {"family": "kolmogorov",
+                                          "params": {"shift": 0.0, "measure": _SHORT_ATOM}}}),
         "/limit/spec/params/measure/atoms/0: expected [site, mass]"),
     "piece-without-dist": (_sweep({"kind": "explicit", "measure": {"pieces": [{"weight": 1.0}]}}),
                            "/measure/measure/pieces/0: "),
@@ -237,10 +248,8 @@ REFUSED = {
                     "/grid/1: expected a number"),
     "string-u": (_sweep({"kind": "dirac_zero"}) | {"u_grid": [0.5, "1"]}, "/u_grid/1: "),
     "fractional-seed": (_hypotheses(seed=1.5), "/seed: expected an integer"),
-    "fractional-samples": (
-        {"task": "simulate", "array": RADEMACHER_ARRAY, "n_list": [10], "samples_per_n": 100.5,
-         "seed": 1, "u_grid": [0.5], "limit": {"kind": "std_gaussian"}},
-        "/samples_per_n: expected an integer"),
+    "fractional-samples": (_simulate({"kind": "std_gaussian"}, samples_per_n=100.5),
+                           "/samples_per_n: expected an integer"),
     "repeated-row": (_hypotheses(array=_TWIN_ROWS, n_list=[10]),
                      "/array/rows/1/n: row n=10 repeats an earlier row"),
     "zero-mass": (_sweep({"kind": "dirac_zero", "mass": 0}), "/measure/mass: must be positive"),
@@ -251,6 +260,39 @@ REFUSED = {
     "zero-limit-mass": ({"task": "verdict-general", "array": RADEMACHER_ARRAY, "n_list": [10, 100],
                          "limit": {"kind": "dirac_zero", "mass": 0}, "grid": [0.5]},
                         "/limit/mass: must be positive"),
+    "string-centered": (
+        _sweep({"kind": "from_array", "n": 16, "centered": "no"}) | {"array": RADEMACHER_ARRAY},
+        "/measure/centered: expected a boolean, got 'no'"),
+    "string-plots": (_hypotheses(plots="no"), "/plots: expected a boolean, got 'no'"),
+    "string-dump-samples": (_simulate({"kind": "std_gaussian"}, dump_samples="no"),
+                            "/dump_samples: expected a boolean, got 'no'"),
+    "string-tolerance": (_sweep({"kind": "dirac_zero"}) | {"tolerances": {"exact_stat": "0.1"}},
+                         "/tolerances/exact_stat: expected a number, got '0.1'"),
+    "boolean-c-target": (_hypotheses(c_target=True), "/c_target: expected a number, got True"),
+    "string-window": ({"task": "poisson-approx", "measure": {"kind": "scaled_dirac_one"},
+                       "window": "1.5", "mesh_cells": [4], "u_grid": [0.5]},
+                      "/window: expected a number, got '1.5'"),
+    "string-target": ({"task": "verdict-poisson", "array": RADEMACHER_ARRAY, "n_list": [10],
+                       "eps_list": [0.5], "target": {"b": "0", "lambda": 1.0}},
+                      "/target/b: expected a number, got '0'"),
+    "string-shift-target": ({"task": "verdict-general", "array": RADEMACHER_ARRAY, "n_list": [10],
+                             "limit": {"kind": "dirac_zero"}, "grid": [0.5], "shift_target": "0"},
+                            "/shift_target: expected a number, got '0'"),
+    "string-ks-threshold": (_simulate({"kind": "std_gaussian"}, ks_threshold="0.1"),
+                            "/ks_threshold: expected a number, got '0.1'"),
+    "string-ecf-threshold": (_simulate({"kind": "std_gaussian"}, ecf_threshold="0.1"),
+                             "/ecf_threshold: expected a number, got '0.1'"),
+    "string-poisson-limit": (_simulate({"kind": "translated_poisson", "b": 0.0, "lambda": "1"}),
+                             "/limit/lambda: expected a number, got '1'"),
+    "fractional-power": (_simulate(_power(2.7)), "/limit/spec/params/p: expected an integer, got 2.7"),
+    "zero-power": (_simulate(_power(0)), "/limit/spec/params/p: expected an integer >= 1, got 0"),
+    "string-cf-param": (
+        _simulate({"kind": "cf", "spec": {"family": "gaussian", "params": {"m": 0.0, "var": "1"}}}),
+        "/limit/spec/params/var: expected a number, got '1'"),
+    "string-cf-term": (
+        _simulate({"kind": "cf", "spec": {"family": "poisson_type_product", "params": {
+            "terms": [{"drift": 0.0, "intensity": True, "site": 1.0}]}}}),
+        "/limit/spec/params/terms/0/intensity: expected a number, got True"),
 }
 
 
@@ -349,6 +391,47 @@ def test_simulate_and_byte_determinism(tmp_path):
     assert main(["--config", cfg, "--out-dir", str(out2), "--quiet"]) == 0
     for rel in ("report.json", "tables/simulate.csv", "plots/simulate.svg"):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+
+def _csv_column(path, name):
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(name)
+    return [line.split(",")[col] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("array, limit", [
+    (_explicit_array([40], seed=4), {"kind": "std_gaussian"}),
+    ({"generator": "bernoulli_poisson", "lambda": 1.0},
+     {"kind": "translated_poisson", "b": 0.0, "lambda": 1.0}),
+])
+def test_simulate_distances_match_the_dumped_samples(tmp_path, array, limit):
+    # more samples than one substream chunk, so the dump spans two streams
+    cfg = {"task": "simulate", "array": array, "n_list": [40], "samples_per_n": 20000,
+           "seed": 77, "u_grid": [-3.0, -0.7, 0.1, 1.3, 4.0], "limit": limit}
+    plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+    for out, extra in ((plain, {}), (dumped, {"dump_samples": True})):
+        path = write_config(tmp_path, f"{out.name}.json", cfg | extra)
+        assert main(["--config", path, "--out-dir", str(out), "--quiet"]) == 0
+    table = (plain / "tables" / "simulate.csv").read_bytes()
+    assert table == (dumped / "tables" / "simulate.csv").read_bytes()
+
+    samples = np.array([float(x) for x in _csv_column(dumped / "tables" / "samples_40.csv", "sample")])
+    assert samples.size == 20000
+    ks = float(_csv_column(plain / "tables" / "simulate.csv", "ks_distance")[0])
+    ecf = float(_csv_column(plain / "tables" / "simulate.csv", "ecf_distance")[0])
+    lim = _parse_sim_limit(limit, "/limit")
+    assert abs(ks - ks_distance(samples, lim.cdf, lim.lattice)) <= 1e-12
+    assert abs(ecf - ecf_distance(samples, lim.cf, cfg["u_grid"])) <= 1e-12
+    # and against the definitions, computed here without the package
+    direct = max(abs(np.mean(np.exp(1j * u * samples)) - complex(eval_cf(lim.cf, u)))
+                 for u in cfg["u_grid"])
+    assert abs(ecf - direct) <= 1e-12
+    if limit["kind"] == "std_gaussian":
+        values, first = np.unique(np.sort(samples), return_index=True)
+        at = np.append(first[1:], samples.size) / samples.size
+        f = scipy_ndtr(values)
+        direct = max(np.max(np.abs(at - f)), np.max(np.abs(first / samples.size - f)))
+        assert abs(ks - direct) <= 1e-12
 
 
 def test_seed_override_changes_results(tmp_path):

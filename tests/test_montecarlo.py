@@ -28,6 +28,7 @@ from summand_lab import (
 )
 from summand_lab.montecarlo import (
     SUBSTREAM_CHUNK,
+    _substream,
     std_gaussian_limit,
     tally,
     translated_poisson_limit,
@@ -65,6 +66,31 @@ def test_chunked_equals_ordered_merge(rademacher_gen):
         parts[j] = sample_sums(row, m, 7, stream_id=j)
     manual = np.concatenate([parts[j] for j in sorted(parts)])
     assert manual.tobytes() == ref.tobytes()
+
+
+def test_substream_is_a_pure_function_of_seed_and_id():
+    first = _substream(11, (3 << 32) | 5).random(1000)
+    assert first.tobytes() == _substream(11, (3 << 32) | 5).random(1000).tobytes()
+
+
+def test_sibling_substreams_draw_differently():
+    # chunk j, chunk j + 1 and the first chunk of the next row index
+    draws = [_substream(11, sid).random(64).tobytes() for sid in (5, 6, 1 << 32)]
+    assert len(set(draws)) == 3
+
+
+def test_substream_keys_are_read_modulo_2_64():
+    top = 2**64 - 1
+    u = _substream(-1, top).random(1000)
+    assert ((0.0 <= u) & (u < 1.0)).all()
+    assert u.tobytes() == _substream(top, top).random(1000).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 1])
+def test_neighbouring_substreams_are_uncorrelated(seed):
+    count = 100_000
+    r = np.corrcoef(_substream(seed, 0).random(count), _substream(seed, 1).random(count))[0, 1]
+    assert abs(r) <= 5.0 / math.sqrt(count)  # 5 standard errors of r under independence
 
 
 def test_run_simulation_reproducible(rademacher_gen):
