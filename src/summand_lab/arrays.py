@@ -20,6 +20,7 @@ import numpy as np
 from .normal import ndtr_scalar, ndtri
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_MAX_DOUBLE = sys.float_info.max
 
 
 class ArraySpecError(ValueError):
@@ -567,6 +568,21 @@ class HypothesisReport:
         return d
 
 
+def check_lists(n_list, eps_list) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """n_list as a nonempty, strictly increasing tuple of ints and eps_list as
+    a tuple of positive floats; hypothesis_check and the verdicts check their
+    lists here."""
+    n_list = tuple(int(n) for n in n_list)
+    if not n_list:
+        raise ValueError("n_list must be nonempty")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
+    eps_list = tuple(float(e) for e in eps_list)
+    if any(e <= 0 for e in eps_list):
+        raise ValueError("eps values must be positive")
+    return n_list, eps_list
+
+
 def hypothesis_check(
     gen: ArrayGenerator,
     n_list: Sequence[int],
@@ -580,14 +596,7 @@ def hypothesis_check(
     are taken once, and U(n, eps) for all eps in the same loop. The values
     equal row_statistics(row, eps) field for field, to the last bit.
     """
-    n_list = tuple(int(n) for n in n_list)
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    eps_list = tuple(float(e) for e in eps_list)
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
+    n_list, eps_list = check_lists(n_list, eps_list)
 
     mv, b, a = [], [], []
     u_cols = [[] for _ in eps_list]
@@ -669,7 +678,19 @@ def component_from_json(obj, path: str = "") -> ComponentDist:
             atoms = obj.get("atoms")
             if not isinstance(atoms, list) or not atoms:
                 raise ArraySpecError(f"{path}/atoms: expected a nonempty list")
-            return FiniteDiscrete(tuple((float(a[0]), float(a[1])) for a in atoms))
+            pairs = []
+            for i, a in enumerate(atoms):
+                if not isinstance(a, list) or len(a) != 2:
+                    raise ArraySpecError(f"{path}/atoms/{i}: expected [site, prob]")
+                site, prob = a
+                # a finite float is what json_number returns; the rest goes
+                # through it, and its pointer is built only then
+                if type(site) is not float or not abs(site) <= _MAX_DOUBLE:
+                    site = json_number(site, f"{path}/atoms/{i}/0")
+                if type(prob) is not float or not abs(prob) <= _MAX_DOUBLE:
+                    prob = json_number(prob, f"{path}/atoms/{i}/1")
+                pairs.append((site, prob))
+            return FiniteDiscrete(tuple(pairs))
         if kind == "gaussian":
             return Gaussian(_req_num(obj, "mean", path), _req_num(obj, "var", path))
         if kind == "uniform":
@@ -690,7 +711,7 @@ def json_number(v, pointer: str, integer: bool = False):
     if integer:
         return v
     # NaN, the infinities and integers past the largest double fail this test
-    if not abs(v) <= sys.float_info.max:
+    if not abs(v) <= _MAX_DOUBLE:
         raise ArraySpecError(f"{pointer}: not a finite double")
     return float(v)
 
@@ -756,9 +777,11 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
             if n in seen:
                 raise ArraySpecError(f"{rpath}/n: row n={n} repeats an earlier row")
             seen.add(n)
+            comps = robj["components"]
+            if not isinstance(comps, list) or not comps:
+                raise ArraySpecError(f"{rpath}/components: expected a nonempty list")
             comps = [
-                component_from_json(c, f"{rpath}/components/{j}")
-                for j, c in enumerate(robj["components"])
+                component_from_json(c, f"{rpath}/components/{j}") for j, c in enumerate(comps)
             ]
             try:
                 # a generator, so no tuple of k(n) pairs outlives the grouping

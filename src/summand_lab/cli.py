@@ -14,10 +14,12 @@ import csv
 import dataclasses
 import io
 import json
+from json.encoder import encode_basestring_ascii
 # argparse's gettext imports locale in the first ArgumentParser(); loaded here,
 # it is paid at start-up like every other import, not inside main()
 import locale  # noqa: F401
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,7 +30,7 @@ from .cf import CharFnError, from_json as cf_from_json, to_json as cf_to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .criteria import VerdictReport, gaussian_verdict, general_verdict, poisson_verdict
 from .exponent import exp_psi, exponent_eval, poisson_product_approx
-from .jsontext import json_text
+from .jsontext import Verbatim, json_text
 from .montecarlo import (
     SimulationPlan,
     cf_only_limit,
@@ -536,6 +538,21 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: a run of characters outside ASCII
+_NON_ASCII = re.compile(r"[^\x00-\x7f]+")
+
+
+def _config_text(text: str) -> Verbatim:
+    """The config as report.json holds it: the file's own text, without the
+    JSON whitespace around it, with non-ASCII escaped so the report stays
+    ASCII. The text parsed, so non-ASCII can only sit inside strings, where
+    an escape reads back as the same characters."""
+    text = text.strip(" \t\n\r")
+    if not text.isascii():
+        text = _NON_ASCII.sub(lambda m: encode_basestring_ascii(m.group())[1:-1], text)
+    return Verbatim(text)
+
+
 def _reject_non_finite(literal: str):
     raise ConfigError(f"Out of range float values are not JSON compliant: {literal}")
 
@@ -570,8 +587,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
@@ -622,7 +639,8 @@ def main(argv=None) -> int:
             "passed": passed,
             "reasons": results.get("verdict", {}).get("reasons", []),
             "seed": seed,
-            "config": cfg,
+            # the text it was read from: re-encoding it costs per component
+            "config": _config_text(text),
             "results": results,
             "artifacts": artifacts,
         }

@@ -21,6 +21,7 @@ from .arrays import (
     ArrayGenerator,
     HypothesisReport,
     RowSpec,
+    check_lists,
     hypothesis_check,
 )
 from .cf import CharFn, GaussianCF, to_json
@@ -195,21 +196,12 @@ def _finish(task, n_list, eps_list, hyp, columns, series, checks, predicted,
     )
 
 
-def _validate_n_list(n_list) -> tuple[int, ...]:
-    n_list = tuple(int(n) for n in n_list)
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    return n_list
-
-
-def _validate_eps_list(eps_list) -> tuple[float, ...]:
+def _verdict_lists(n_list, eps_list) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    n_list, eps_list = check_lists(n_list, eps_list)
     # a verdict with no eps would skip its tail checks and pass on less evidence
-    eps_list = tuple(float(e) for e in eps_list)
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    return eps_list
+    return n_list, eps_list
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +217,7 @@ def gaussian_verdict(
 ) -> VerdictReport:
     """Standard-normal limit: unit variance sum, vanishing Lindeberg tails,
     vanishing max variance. Rows must be centered."""
-    n_list = _validate_n_list(n_list)
-    eps_list = _validate_eps_list(eps_list)
+    n_list, eps_list = _verdict_lists(n_list, eps_list)
     rows = [gen.row(n) for n in n_list]
     for row in rows:
         for i, (d, count) in enumerate(row.components):
@@ -267,8 +258,7 @@ def poisson_verdict(
 ) -> VerdictReport:
     """Translated-Poisson limit b + Poisson(lam): vanishing max variance,
     variance sum to lam, drift sum to b + lam, vanishing Poisson tails."""
-    n_list = _validate_n_list(n_list)
-    eps_list = _validate_eps_list(eps_list)
+    n_list, eps_list = _verdict_lists(n_list, eps_list)
     b_target, lam = float(target[0]), float(target[1])
     if lam <= 0.0:
         raise ValueError("target lambda must be positive")
@@ -310,8 +300,7 @@ def general_verdict(
 ) -> VerdictReport:
     """Canonical limit via the centered accumulation measures: pre-weak grid
     distance, the total-mass gap (the weak upgrade), and the drift trend."""
-    n_list = _validate_n_list(n_list)
-    eps_list = _validate_eps_list(eps_list)
+    n_list, eps_list = _verdict_lists(n_list, eps_list)
     rows = [gen.row(n) for n in n_list]
     hyp = hypothesis_check(gen, n_list, eps_list, c_target=limit.total_mass, tol=tolerances.coarse_stat)
     measures = [build_accum(r, center=True) for r in rows]

@@ -4,7 +4,8 @@
 for byte. With ``indent`` set the stdlib falls back to a pure-Python encoder
 that yields every token through nested generators; this one appends to a
 single list, escapes strings with the stdlib's C ``encode_basestring_ascii``
-and writes a list of finite floats with one ``join``.
+and writes a list of finite floats with one ``join``. A ``Verbatim`` string
+is JSON text already and goes in as it stands.
 """
 
 from __future__ import annotations
@@ -15,8 +16,18 @@ _float_repr = float.__repr__
 _int_repr = int.__repr__
 
 
+class Verbatim(str):
+    """JSON text that ``json_text`` writes as it stands, not as a string.
+
+    The caller vouches that it is one valid JSON value; its line breaks and
+    indentation are kept, so only the value, not the layout, matches what
+    ``json.dumps`` would write.
+    """
+
+
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, where
+    obj holds no ``Verbatim``.
 
     Raises ValueError on NaN and infinities and TypeError on values JSON has
     no form for, as the stdlib does; there is no check for circular
@@ -87,6 +98,8 @@ def _encode(o, out: list, newline: str) -> None:
             sep = "," + inner
             _encode(v, out, inner)
         out.append(newline + "]")
+    elif isinstance(o, Verbatim):
+        out.append(o)
     elif isinstance(o, str):
         out.append(_quote(o))
     elif o is None:

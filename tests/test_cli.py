@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,8 +171,8 @@ def test_partial_outputs_removed_on_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_report_value_exits_3(tmp_path, capsys, literal):
-    # Python's JSON reader accepts these literals; report.json, which embeds
-    # the config, has no form for them, so the config is refused before any work
+    # Python's JSON reader accepts these literals, which are not JSON; report.json
+    # copies the config's text, so the config is refused before any work
     p = tmp_path / "hyp.json"
     p.write_text(
         '{"task": "hypotheses", "array": %s, "n_list": [10, 100], "eps_list": [0.5], '
@@ -221,6 +222,19 @@ _TWIN_ROWS = {"generator": "explicit", "rows": [
     {"n": 10, "components": [{"kind": "gaussian", "mean": 0.0, "var": 1.0}]},
     {"n": 10, "components": [{"kind": "gaussian", "mean": 0.0, "var": 0.5}]},
 ]}
+
+
+def _atoms(*atoms):
+    """A hypotheses config over a standardized finite_discrete base."""
+    base = {"kind": "finite_discrete", "atoms": list(atoms)}
+    return _hypotheses(array={"generator": "standardized_iid", "base": base})
+
+
+def _row_components(components):
+    return _hypotheses(array={"generator": "explicit",
+                              "rows": [{"n": 10, "components": components}]}, n_list=[10])
+
+
 # a number literal too large for a double, in place of "c_target": 1.0
 _HUGE = json.dumps(_hypotheses(c_target=1.0))
 REFUSED = {
@@ -240,6 +254,21 @@ REFUSED = {
     "nan-after-a-long-integer": (
         _HUGE.replace('"c_target": 1.0', '"seed": ' + "9" * 401 + ', "c_target": NaN'),
         "/c_target: Out of range float values are not JSON compliant: NaN"),
+    "string-atom": (_atoms(["-1", "0.5"], [True, 0.5]),
+                    "/array/base/atoms/0/0: expected a number, got '-1'"),
+    "string-atom-prob": (_atoms([-1.0, "0.5"], [1.0, 0.5]),
+                         "/array/base/atoms/0/1: expected a number, got '0.5'"),
+    "boolean-atom": (_atoms([-1.0, 0.5], [True, 0.5]),
+                     "/array/base/atoms/1/0: expected a number, got True"),
+    "three-entry-atom": (_atoms([-1.0, 0.5, 7.0], [1.0, 0.5]),
+                         "/array/base/atoms/0: expected [site, prob]"),
+    "object-atom": (_atoms({"site": -1.0, "prob": 0.5}, [1.0, 0.5]),
+                    "/array/base/atoms/0: expected [site, prob]"),
+    "atom-overflow": (json.dumps(_atoms([-1.0, 0.5], [1.0, 0.5])).replace("[1.0, 0.5]", "[1e999, 0.5]"),
+                      "/array/base/atoms/1/0: not a finite double"),
+    "empty-components": (_row_components([]), "/array/rows/0/components: expected a nonempty list"),
+    "object-components": (_row_components({"kind": "gaussian", "mean": 0.0, "var": 1.0}),
+                          "/array/rows/0/components: expected a nonempty list"),
     "fractional-n": (_hypotheses(n_list=[10.9, 100]), "/n_list/0: expected an integer"),
     "boolean-n": (_hypotheses(n_list=[True, 100]), "/n_list/0: expected an integer"),
     "string-eps": (_hypotheses(eps_list=["0.5"]), "/eps_list/0: expected a number"),
@@ -333,6 +362,15 @@ def _explicit_array(ns, seed):
     return {"generator": "explicit", "rows": rows}
 
 
+def documented_report(report: dict, config_text: str) -> str:
+    """report.json as docs/SCHEMAS.md states it: the stdlib's indent=2
+    encoding of the report, with the config file's text, stripped of the JSON
+    whitespace around it, as the value of "config"."""
+    text = json.dumps(dict(report, config=None), indent=2, allow_nan=False) + "\n"
+    assert text.count('\n  "config": null,\n') == 1
+    return text.replace('\n  "config": null,\n', '\n  "config": ' + config_text + ',\n')
+
+
 def test_explicit_rows_report_is_stable(tmp_path):
     ns, eps_list = [60, 90, 150], [0.05, 0.1, 0.5]
     array = _explicit_array(ns, seed=3)
@@ -347,12 +385,13 @@ def test_explicit_rows_report_is_stable(tmp_path):
     reports = {}
     for name, cfg in configs.items():
         out = tmp_path / name
-        code = main(["--config", write_config(tmp_path, f"{name}.json", cfg),
-                     "--out-dir", str(out), "--quiet"])
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        code = main(["--config", path, "--out-dir", str(out), "--quiet"])
         text = (out / "report.json").read_text()
-        # the stdlib's indent=2 encoding, byte for byte
-        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
         reports[name] = json.loads(text)
+        assert reports[name]["config"] == cfg
+        # the stdlib's indent=2 encoding, byte for byte, around the config's own text
+        assert text == documented_report(reports[name], Path(path).read_text().strip(" \t\n\r"))
         # the small eps fail the Lindeberg checks on rows this short
         assert code == (0 if reports[name]["passed"] else 2)
 
@@ -369,6 +408,45 @@ def test_explicit_rows_report_is_stable(tmp_path):
             assert (verdict["columns"]["mv"][i], verdict["columns"]["b"][i]) == (st.mv, st.b)
             m2 = max(d.second_moment() for d, _ in row.components)
             assert hyp["markov_bound"][repr(eps)][i] == m2 / (eps * eps)
+
+
+def _escaped(text: str) -> str:
+    """text with each non-ASCII character as the stdlib's \\u escape."""
+    return "".join(c if c.isascii() else json.dumps(c)[1:-1] for c in text)
+
+
+@pytest.mark.parametrize("name", ["crlf", "non-ascii"])
+def test_report_embeds_the_config_text(tmp_path, name):
+    cfg = _hypotheses(c_target=1.0)
+    if name == "crlf":
+        text = "\r\n \t" + json.dumps(cfg, indent=4).replace("\n", "\r\n") + "\r\n"
+        # read with universal newlines: the report's line breaks are "\n"
+        expected = json.dumps(cfg, indent=4)
+    else:
+        cfg["out_dir"] = "r\u00e9sultats/\u20ac \U0001f600 \u00e9t\u00e9"
+        text = json.dumps(cfg, indent=1, ensure_ascii=False) + "\n"
+        expected = _escaped(text.strip())
+        assert not text.isascii() and expected != text.strip()
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out-dir", str(out), "--quiet"]) == 0
+    raw = (out / "report.json").read_bytes()
+    assert raw.isascii() and b"\r" not in raw
+    report = json.loads(raw)
+    assert report["config"] == cfg
+    assert raw.decode() == documented_report(report, expected)
+
+
+def test_config_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(_hypotheses(out_dir="x")).encode().replace(b'"x"', b'"\xff"'))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out-dir", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: ") and "utf-8" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_and_byte_determinism(tmp_path):

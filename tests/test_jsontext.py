@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from summand_lab.jsontext import json_text
+from summand_lab.jsontext import Verbatim, json_text
 
 
 def reference(obj) -> str:
@@ -71,3 +71,14 @@ def test_non_finite_floats_raise(bad, wrap):
 def test_unencodable_values_raise_type_error(bad):
     with pytest.raises(TypeError):
         json_text(bad)
+
+
+def test_verbatim_text_goes_in_as_it_stands():
+    raw = '{"b": [1.0e0,\n    2], "a":"\\u00e9"}'
+    obj = {"x": Verbatim(raw), "y": [Verbatim(raw), "plain", Verbatim("3")]}
+    assert json_text(obj) == (
+        '{\n  "x": ' + raw + ',\n  "y": [\n    ' + raw + ',\n    "plain",\n    3\n  ]\n}'
+    )
+    # a Verbatim is still a str to everything else
+    assert json.loads(json_text(obj)) == {"x": json.loads(raw), "y": [json.loads(raw), "plain", 3]}
+    assert json_text(Verbatim(raw)) == raw
