@@ -12,11 +12,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
+import numpy as np
+
 from .arrays import (
-    ArraySpecError, ComponentDist, FiniteDiscrete, RowSpec, component_from_json, component_to_json,
-    json_number,
+    DISCRETE, GAUSSIAN, UNIFORM, ArraySpecError, ComponentDist, FiniteDiscrete, GroupTable, RowSpec,
+    columnar, component_from_json, component_key, component_to_json, json_number,
 )
 from .jsontext import json_text
 
@@ -28,7 +32,6 @@ class DiscontinuityPointError(ValueError):
     """A grid point sits on (or too near) a discontinuity of the limit."""
 
 
-@dataclass(frozen=True)
 class AccumMeasure:
     """Finite measure made of point masses plus x^2-weighted continuous pieces.
 
@@ -37,48 +40,108 @@ class AccumMeasure:
     pieces: (weight, dist) pairs; each contributes weight * y^2 dF_dist(y).
     total_mass: validated against the parts when supplied, computed otherwise.
     row_n / centered: provenance metadata when built from a row.
+
+    The pieces are held both as pairs and as a GroupTable, the weights as
+    its counts; each form is made from the other when first read, so a
+    measure built from a row makes no component object unless its pieces
+    are read. Measures are equal when these five fields are.
     """
 
-    atoms: tuple[tuple[float, float], ...] = ()
-    pieces: tuple[tuple[float, ComponentDist], ...] = ()
-    total_mass: float | None = None
-    row_n: int | None = None
-    centered: bool | None = None
-
-    def __post_init__(self):
-        merged = _merge_atoms(self.atoms)
-        pieces = []
-        for w, d in self.pieces:
+    def __init__(self, atoms=(), pieces=(), total_mass=None, row_n=None, centered=None):
+        merged = _merge_atoms(atoms)
+        kept = []
+        for w, d in pieces:
             w = float(w)
             if w < 0.0:
                 raise ValueError(f"negative piece weight {w}")
             if isinstance(d, FiniteDiscrete):
                 raise ValueError("discrete components enter as atoms, not pieces")
             if w > 0.0:
-                pieces.append((w, d))
+                kept.append((w, d))
         expected = math.fsum(m for _, m in merged) + math.fsum(
-            w * d.second_moment() for w, d in pieces
+            w * d.second_moment() for w, d in kept
         )
-        object.__setattr__(self, "atoms", merged)
-        object.__setattr__(self, "pieces", tuple(pieces))
-        if self.total_mass is None:
-            object.__setattr__(self, "total_mass", expected)
-        elif abs(self.total_mass - expected) > 1e-10 * max(1.0, abs(expected)):
+        if total_mass is None:
+            total_mass = expected
+        elif abs(total_mass - expected) > 1e-10 * max(1.0, abs(expected)):
             raise ValueError(
-                f"total_mass {self.total_mass} inconsistent with parts {expected}"
+                f"total_mass {total_mass} inconsistent with parts {expected}"
             )
+        self.pieces = tuple(kept)
+        self._fill(merged, len(kept), total_mass, row_n, centered)
+
+    @classmethod
+    def _of_table(cls, atoms, table: GroupTable, total_mass, row_n, centered) -> "AccumMeasure":
+        """A measure from checked parts: atoms as _merge_atoms leaves them,
+        and the pieces' table, distinct pieces of positive weight."""
+        m = cls.__new__(cls)
+        m.piece_table = table
+        m._fill(atoms, table.fam.size, total_mass, row_n, centered)
+        return m
+
+    def _fill(self, atoms, n_pieces: int, total_mass, row_n, centered) -> None:
+        self.atoms = atoms
+        self.total_mass = total_mass
+        self.row_n = row_n
+        self.centered = centered
+        # fixed at construction, as a row's is
+        self._columnar = columnar(len(atoms) + n_pieces)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, ComponentDist], ...]:
+        t = self.piece_table
+        return tuple(zip(t.count.tolist(), t.components()))
+
+    @cached_property
+    def piece_table(self) -> GroupTable:
+        return GroupTable.of_keys((component_key(d) for _, d in self.pieces),
+                                  [w for w, _ in self.pieces])
+
+    @cached_property
+    def _atom_prefix(self) -> tuple[np.ndarray, np.ndarray]:
+        # sites, and the masses' running sums from 0.0
+        return (np.array([s for s, _ in self.atoms]),
+                np.cumsum([0.0] + [m for _, m in self.atoms]))
+
+    def _fields(self) -> tuple:
+        return (self.atoms, self.pieces, self.total_mass, self.row_n, self.centered)
+
+    def __eq__(self, other):
+        if not isinstance(other, AccumMeasure):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("AccumMeasure(atoms={!r}, pieces={!r}, total_mass={!r}, row_n={!r}, "
+                "centered={!r})".format(*self._fields()))
 
     def cdf(self, x: float) -> float:
-        """Mass of (-inf, x]; right-continuous at atom sites."""
-        acc = 0.0
-        for site, mass in self.atoms:
-            if site <= x:
-                acc += mass
-            else:
-                break
-        for w, d in self.pieces:
-            acc += w * d.partial_m2(x)
-        return acc
+        """Mass of (-inf, x]; right-continuous at atom sites.
+
+        The masses add as the loop over the atoms and then the pieces adds
+        them. A measure of COLUMNAR_MIN_GROUPS atoms and pieces or more
+        takes the atoms up to x from a prefix sum made once, and the pieces'
+        weight * partial_m2(x) from their table.
+        """
+        if not self._columnar:
+            acc = 0.0
+            for site, mass in self.atoms:
+                if site <= x:
+                    acc += mass
+                else:
+                    break
+            for w, d in self.pieces:
+                acc += w * d.partial_m2(x)
+            return acc
+        sites, prefix = self._atom_prefix
+        acc = prefix[np.searchsorted(sites, x, side="right")]
+        t = self.piece_table
+        if t.fam.size:
+            acc = np.cumsum(np.concatenate(([acc], t.count * t.partial_m2(x))))[-1]
+        return float(acc)
 
     def mass_at(self, x: float) -> float:
         """Atom mass carried by the single point {x}."""
@@ -115,26 +178,60 @@ def _merge_atoms(atoms) -> tuple[tuple[float, float], ...]:
     return tuple(merged)
 
 
-def build_accum(row: RowSpec, center: bool) -> AccumMeasure:
-    """K_n of a row: atoms x^2*prob per discrete site, pieces per continuous
-    component; with center=True every component is first shifted by its mean."""
+def _row_atoms(sites: np.ndarray, masses: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """The atoms of positive masses at sites, both in group order, as
+    _merge_atoms leaves them once the masses at equal sites are added in
+    that order. Where no two sites lie within ATOM_MERGE and every value is
+    finite, that is one sort; otherwise the sums and the merge are taken
+    one atom at a time."""
+    order = np.argsort(sites, kind="stable")
+    s, m = sites[order], masses[order]
+    if np.all(np.diff(s) > ATOM_MERGE) and np.isfinite(m).all():
+        return tuple(zip(s.tolist(), m.tolist()))
     site_mass: dict[float, float] = {}
-    piece_weight: dict[ComponentDist, float] = {}
-    for dist, count in row.components:
-        d = dist.shifted(dist.mean()) if center else dist
-        if isinstance(d, FiniteDiscrete):
-            for x, p in d.atoms:
-                m = x * x * p * count
-                if m != 0.0:
-                    site_mass[x] = site_mass.get(x, 0.0) + m
-        else:
-            piece_weight[d] = piece_weight.get(d, 0.0) + float(count)
-    return AccumMeasure(
-        atoms=tuple(site_mass.items()),
-        pieces=tuple((w, d) for d, w in piece_weight.items()),
-        row_n=row.n,
-        centered=center,
-    )
+    for x, mass in zip(sites.tolist(), masses.tolist()):
+        site_mass[x] = site_mass.get(x, 0.0) + mass
+    return _merge_atoms(site_mass.items())
+
+
+def build_accum(row: RowSpec, center: bool) -> AccumMeasure:
+    """K_n of a row: atoms x^2*prob*count per discrete site, pieces per
+    distinct continuous component weighted by its count; with center=True
+    every group is first shifted by its mean. Equal sites and equal pieces
+    add in group order."""
+    if not row.columnar:
+        site_mass: dict[float, float] = {}
+        piece_weight: dict[ComponentDist, float] = {}
+        for dist, count in row.components:
+            d = dist.shifted(dist.mean()) if center else dist
+            if isinstance(d, FiniteDiscrete):
+                for x, p in d.atoms:
+                    m = x * x * p * count
+                    if m != 0.0:
+                        site_mass[x] = site_mass.get(x, 0.0) + m
+            else:
+                piece_weight[d] = piece_weight.get(d, 0.0) + float(count)
+        return AccumMeasure(
+            atoms=tuple(site_mass.items()),
+            pieces=tuple((w, d) for d, w in piece_weight.items()),
+            row_n=row.n,
+            centered=center,
+        )
+    t = row.table.centered if center else row.table
+    mass = t.sites * t.sites * t.probs * t.count[t.index[DISCRETE]][:, None]
+    keep = mass != 0.0
+    atoms = _row_atoms(t.sites[keep], mass[keep])
+    # the continuous groups' keys, Gaussian then uniform, visited in group order
+    cont = np.concatenate((t.index[GAUSSIAN], t.index[UNIFORM]))
+    keys = [*zip(repeat(GAUSSIAN), t.m.tolist(), t.v.tolist()),
+            *zip(repeat(UNIFORM), t.lo.tolist(), t.hi.tolist())]
+    counts = t.count[cont].tolist()
+    weights: dict[tuple, float] = {}
+    for i in np.argsort(cont).tolist():
+        weights[keys[i]] = weights.get(keys[i], 0.0) + counts[i]
+    pieces = GroupTable.of_keys(weights, weights.values())
+    total = math.fsum(m for _, m in atoms) + math.fsum((pieces.count * pieces.moments[2]).tolist())
+    return AccumMeasure._of_table(atoms, pieces, total, row.n, center)
 
 
 @dataclass(frozen=True)

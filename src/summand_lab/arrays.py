@@ -5,6 +5,12 @@ tail second moments (finite-discrete, Gaussian, uniform), so accumulation
 measures and Lindeberg sums downstream carry no quadrature error; the
 continuous ones also carry a closed-form compensated characteristic
 function, so the limit exponent needs none either.
+
+A row keeps its distinct components as a GroupTable, one array per family
+and parameter. Rows of many groups compute their statistics from it as
+array expressions that equal the component methods to the last bit; the
+component classes stay the reference, and rows of few groups loop over
+them.
 """
 
 from __future__ import annotations
@@ -12,12 +18,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .normal import ndtr_scalar, ndtri
+from .normal import ndtr, ndtr_scalar, ndtri
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MAX_DOUBLE = sys.float_info.max
@@ -144,24 +153,8 @@ class FiniteDiscrete(ComponentDist):
         return FiniteDiscrete(tuple((x / s, p) for x, p in self.atoms))
 
     def sample(self, rng, size):
-        """size draws by inversion, one rng.random value per draw.
-
-        The atom of a uniform u is the number of cumulative probabilities
-        before the last that are <= u, which equals
-        min(searchsorted(cum, u, "right"), K - 1) exactly. Up to
-        _COMPARE_MAX_ATOMS atoms it is counted with one vector comparison per
-        atom, several times faster than the binary search on unsorted draws;
-        more atoms take the search. Both give the same draws.
-        """
-        sites = np.array([x for x, _ in self.atoms])
-        cum = np.cumsum([p for _, p in self.atoms])
-        u = rng.random(size)
-        if len(sites) > _COMPARE_MAX_ATOMS:
-            return sites[np.minimum(np.searchsorted(cum, u, side="right"), len(sites) - 1)]
-        idx = np.zeros(size, dtype=np.intp)
-        for c in cum[:-1]:
-            idx += u >= c
-        return sites[idx]
+        return discrete_draws(np.array([x for x, _ in self.atoms]),
+                              np.array([p for _, p in self.atoms]), rng, size)
 
 
 @dataclass(frozen=True)
@@ -294,7 +287,7 @@ class Uniform(ComponentDist):
         return Uniform(self.lo / s, self.hi / s)
 
     def sample(self, rng, size):
-        return self.lo + (self.hi - self.lo) * rng.random(size)
+        return uniform_draws(self.lo, self.hi, rng, size)
 
 
 def cexp(imag_arg: float, real_arg: float) -> complex:
@@ -392,26 +385,281 @@ def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53)
 
 
+def discrete_draws(sites: np.ndarray, probs: np.ndarray, rng: np.random.Generator,
+                   size: int) -> np.ndarray:
+    """size draws of the atoms (sites, probs) by inversion, one rng.random
+    value per draw.
+
+    The atom of a uniform u is the number of cumulative probabilities
+    before the last that are <= u, which equals
+    min(searchsorted(cum, u, "right"), K - 1) exactly. Up to
+    _COMPARE_MAX_ATOMS atoms it is counted with one vector comparison per
+    atom, several times faster than the binary search on unsorted draws;
+    more atoms take the search. Both give the same draws.
+    """
+    cum = np.cumsum(probs)
+    u = rng.random(size)
+    if len(sites) > _COMPARE_MAX_ATOMS:
+        return sites[np.minimum(np.searchsorted(cum, u, side="right"), len(sites) - 1)]
+    idx = np.zeros(size, dtype=np.intp)
+    for c in cum[:-1]:
+        idx += u >= c
+    return sites[idx]
+
+
+def uniform_draws(lo: float, hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    return lo + (hi - lo) * rng.random(size)
+
+
 # ---------------------------------------------------------------------------
-# Rows and generators
+# Rows and their group tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowSpec:
-    """Row n of an array as (component, count) groups.
+def _pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p elementwise through float.__pow__, the C library's pow, as the
+    component methods take it: numpy squares by multiplying, which differs
+    from pow in the last bit of about one square in 1200."""
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(p)), np.float64, x.size).reshape(x.shape)
 
-    ``components`` takes (ComponentDist, count) pairs; equal-valued components
-    are merged into one group, kept in order of first appearance, so every
-    per-row sum costs O(#groups) rather than O(k(n)).
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp elementwise: numpy's exp may differ from it by one ulp."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _fsum_rows(t: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of t, a discrete group's terms per atom padded
+    with zeros.
+
+    fsum rounds the exact sum once, as one addition of two doubles does, and
+    gives +0.0 for a zero sum; the rows of more than two atoms (wide) go
+    through fsum itself.
+    """
+    out = t[:, 0] + t[:, 1]
+    out += 0.0
+    if wide.size:
+        out[wide] = [math.fsum(r) for r in t[wide].tolist()]
+    return out
+
+
+def running_sum(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right as a loop adds
+    them: np.cumsum adds in order (np.sum adds pairwise), and the last + 0.0
+    turns a -0.0 into the loop's +0.0."""
+    return float(np.cumsum(terms)[-1]) + 0.0
+
+
+#: family codes of a GroupTable
+DISCRETE, GAUSSIAN, UNIFORM = 0, 1, 2
+#: rows (and accumulation measures) of at least this many groups (atoms and
+#: pieces) are read through their GroupTable, the others by a loop over
+#: their components, which the table's methods equal bit for bit: each numpy
+#: call costs about a microsecond whatever its size, and on fresh rows of
+#: mixed families the loop stays the faster up to about 50 groups
+COLUMNAR_MIN_GROUPS = 32
+
+
+def columnar(groups: int) -> bool:
+    """Whether a row or measure of this many groups reads its GroupTable."""
+    return groups >= COLUMNAR_MIN_GROUPS
+
+
+def component_key(d: ComponentDist) -> tuple:
+    """A component as (family, params), the form the JSON parser groups by:
+    two components are equal exactly when their keys are."""
+    if isinstance(d, FiniteDiscrete):
+        return (DISCRETE, d.atoms)
+    if isinstance(d, Gaussian):
+        return (GAUSSIAN, d.m, d.v)
+    if isinstance(d, Uniform):
+        return (UNIFORM, d.lo, d.hi)
+    raise TypeError(f"unknown component type {type(d).__name__}")
+
+
+class GroupTable:
+    """Groups of equal components as arrays, in group order.
+
+    fam[i] is group i's family (DISCRETE, GAUSSIAN or UNIFORM) and count[i]
+    its count as a float; an accumulation measure's pieces use a table with
+    their weights as counts. Each family keeps its parameters in arrays of
+    its own, in group order: m and v of the Gaussian groups, lo and hi of
+    the uniform ones, and the atoms of each discrete group as one row of
+    sites and probs, padded with zeros to the widest group and to at least
+    two columns; natoms counts a row's own atoms. A padded atom adds an
+    exact zero to every sum below.
+
+    Each method is the ComponentDist method of the same name, one value per
+    group in group order, equal to it to the last bit: the same operations
+    in the same order, math.fsum where the method uses it (_fsum_rows), and
+    pow and exp of the C library (_pow, _exp).
     """
 
-    n: int
-    components: tuple[tuple[ComponentDist, int], ...]
+    def __init__(self, fam, count, m, v, lo, hi, sites, probs, natoms):
+        self.fam, self.count = fam, count
+        self.m, self.v, self.lo, self.hi = m, v, lo, hi
+        self.sites, self.probs, self.natoms = sites, probs, natoms
+        self.index = tuple(np.flatnonzero(fam == f) for f in (DISCRETE, GAUSSIAN, UNIFORM))
+        self.wide = np.flatnonzero(natoms > 2)
 
-    def __post_init__(self):
+    @classmethod
+    def of_keys(cls, keys, counts) -> "GroupTable":
+        """The table of components given by their keys (see component_key)."""
+        fam, m, v, lo, hi, atoms = [], [], [], [], [], []
+        for key in keys:
+            fam.append(key[0])
+            if key[0] == DISCRETE:
+                atoms.append(key[1])
+            elif key[0] == GAUSSIAN:
+                m.append(key[1])
+                v.append(key[2])
+            else:
+                lo.append(key[1])
+                hi.append(key[2])
+        natoms = np.fromiter(map(len, atoms), np.intp, len(atoms))
+        width = max(2, int(natoms.max(initial=0)))
+        sites = np.zeros((len(atoms), width))
+        probs = np.zeros((len(atoms), width))
+        if atoms:
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(atoms)), np.float64)
+            filled = np.arange(width) < natoms[:, None]
+            sites[filled] = flat[0::2]
+            probs[filled] = flat[1::2]
+        return cls(np.array(fam, dtype=np.int8), np.fromiter(counts, np.float64, len(fam)),
+                   np.array(m, dtype=np.float64), np.array(v, dtype=np.float64),
+                   np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64),
+                   sites, probs, natoms)
+
+    def groups(self):
+        """(family, count, params) per group in group order: params is a
+        discrete group's (sites, probs) arrays, or the floats (m, v) or
+        (lo, hi)."""
+        params = {
+            DISCRETE: ((s[:k], p[:k])
+                       for s, p, k in zip(self.sites, self.probs, self.natoms.tolist())),
+            GAUSSIAN: zip(self.m.tolist(), self.v.tolist()),
+            UNIFORM: zip(self.lo.tolist(), self.hi.tolist()),
+        }
+        for f, c in zip(self.fam.tolist(), self.count.tolist()):
+            yield f, c, next(params[f])
+
+    def components(self) -> list:
+        """The groups as ComponentDist objects."""
+        out = []
+        for f, _, p in self.groups():
+            if f == DISCRETE:
+                out.append(FiniteDiscrete(tuple(zip(p[0].tolist(), p[1].tolist()))))
+            else:
+                out.append((Gaussian if f == GAUSSIAN else Uniform)(*p))
+        return out
+
+    def join(self, disc, gauss, unif) -> np.ndarray:
+        """One value per group in group order, from the values per family."""
+        out = np.empty(self.fam.size)
+        for i, x in zip(self.index, (disc, gauss, unif)):
+            out[i] = x
+        return out
+
+    @cached_property
+    def sd(self) -> np.ndarray:
+        return np.sqrt(self.v)
+
+    @cached_property
+    def _gauss_m2(self) -> np.ndarray:
+        return self.v + _pow(self.m, 2.0)
+
+    @cached_property
+    def _uniform_mean(self) -> np.ndarray:
+        return 0.5 * (self.lo + self.hi)
+
+    @cached_property
+    def _lo_cubed(self) -> np.ndarray:
+        return _pow(self.lo, 3.0)
+
+    @cached_property
+    def _uniform_m2_hi(self) -> np.ndarray:
+        # Uniform._m2_raw(hi): the whole second moment, as tail_m2 takes it
+        return (_pow(self.hi, 3.0) - self._lo_cubed) / (3.0 * (self.hi - self.lo))
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mean, var, second_moment) per group."""
+        s, p, wide = self.sites, self.probs, self.wide
+        dm = _fsum_rows(s * p, wide)
+        dv = _fsum_rows(_pow(s - dm[:, None], 2.0) * p, wide)
+        d2 = _fsum_rows(s * s * p, wide)
+        uv = _pow(self.hi - self.lo, 2.0) / 12.0
+        return (self.join(dm, self.m, self._uniform_mean),
+                self.join(dv, self.v, uv),
+                self.join(d2, self._gauss_m2, uv + _pow(self._uniform_mean, 2.0)))
+
+    def prob_abs_ge(self, eps: float) -> np.ndarray:
+        d = _fsum_rows(np.where(np.abs(self.sites) >= eps, self.probs, 0.0), self.wide)
+        g = ndtr((self.m - eps) / self.sd) + ndtr((-eps - self.m) / self.sd)
+        overlap = np.maximum(0.0, np.minimum(self.hi, eps) - np.maximum(self.lo, -eps))
+        return self.join(d, g, 1.0 - overlap / (self.hi - self.lo))
+
+    def _gauss_partial_m2(self, x: float) -> np.ndarray:
+        m, v, sd = self.m, self.v, self.sd
+        z = (x - m) / sd
+        phi = _INV_SQRT_2PI * _exp(-0.5 * z * z)
+        return (m * m + v) * ndtr(z) - sd * (x + m) * phi
+
+    def _uniform_partial_m2(self, x: float) -> np.ndarray:
+        out = np.zeros(self.lo.size)
+        inside = x > self.lo  # 0.0 where x <= lo
+        lo, hi = self.lo[inside], self.hi[inside]
+        out[inside] = (_pow(np.minimum(x, hi), 3.0) - self._lo_cubed[inside]) / (3.0 * (hi - lo))
+        return out
+
+    def partial_m2(self, x: float) -> np.ndarray:
+        s = self.sites
+        d = _fsum_rows(np.where(s <= x, s * s * self.probs, 0.0), self.wide)
+        return self.join(d, self._gauss_partial_m2(x), self._uniform_partial_m2(x))
+
+    def tail_m2(self, center: float, eps: float, inclusive: bool = False) -> np.ndarray:
+        s = self.sites
+        off = np.abs(s - center)
+        d = _fsum_rows(np.where(off >= eps if inclusive else off > eps, s * s * self.probs, 0.0),
+                       self.wide)
+        g = (self._gauss_partial_m2(center - eps)
+             + np.maximum(self._gauss_m2 - self._gauss_partial_m2(center + eps), 0.0))
+        u = (self._uniform_partial_m2(center - eps)
+             + np.maximum(self._uniform_m2_hi - self._uniform_partial_m2(center + eps), 0.0))
+        return self.join(d, g, u)
+
+    @cached_property
+    def centered(self) -> "GroupTable":
+        """Every group shifted by its own mean, as ComponentDist.shifted
+        shifts it (a zero mean shifts nothing); groups that become equal
+        stay apart."""
+        c = self.moments[0][self.index[DISCRETE]][:, None]
+        u = self._uniform_mean
+        return GroupTable(
+            self.fam, self.count,
+            np.where(self.m == 0.0, self.m, self.m - self.m), self.v,
+            np.where(u == 0.0, self.lo, self.lo - u), np.where(u == 0.0, self.hi, self.hi - u),
+            np.where(c == 0.0, self.sites, self.sites - c), self.probs, self.natoms,
+        )
+
+
+class RowSpec:
+    """Row n of an array as groups of equal components with their counts.
+
+    ``RowSpec(n, pairs)`` takes (ComponentDist, count) pairs; equal-valued
+    components are merged into one group, kept in order of first appearance,
+    so every per-row sum costs O(#groups) rather than O(k(n)). ``table``
+    holds the groups as a GroupTable and ``components`` as (ComponentDist,
+    count) pairs; each is made from the other when first read, so a row
+    parsed from JSON (from_table) makes no component object on the way to a
+    verdict. ``columnar``, fixed when the row is built, says whether the
+    per-row statistics read the table (see COLUMNAR_MIN_GROUPS) or loop
+    over the components.
+    """
+
+    def __init__(self, n: int, components):
         groups: dict[ComponentDist, int] = {}
-        for i, pair in enumerate(self.components):
+        for i, pair in enumerate(components):
             try:
                 comp, count = pair
             except (TypeError, ValueError):
@@ -425,14 +673,47 @@ class RowSpec:
             groups[comp] = groups.get(comp, 0) + count
         if not groups:
             raise ValueError("a row needs at least one component")
-        object.__setattr__(self, "components", tuple(groups.items()))
+        self.n = n
+        self.components = tuple(groups.items())
+        self._k = sum(groups.values())
+        self.columnar = columnar(len(groups))
+
+    @classmethod
+    def from_table(cls, n: int, table: GroupTable) -> "RowSpec":
+        """The row whose groups, already distinct, are the table's."""
+        row = cls.__new__(cls)
+        row.n, row.table = n, table
+        row._k = int(table.count.sum())
+        row.columnar = columnar(table.fam.size)
+        return row
+
+    @cached_property
+    def components(self) -> tuple[tuple[ComponentDist, int], ...]:
+        t = self.table
+        return tuple(zip(t.components(), map(int, t.count.tolist())))
+
+    @cached_property
+    def table(self) -> GroupTable:
+        return GroupTable.of_keys((component_key(d) for d, _ in self.components),
+                                  [count for _, count in self.components])
 
     def k(self) -> int:
-        return sum(count for _, count in self.components)
+        return self._k
 
     def centered(self) -> "RowSpec":
         """Row with every component shifted by its own mean."""
         return RowSpec(self.n, tuple((d.shifted(d.mean()), count) for d, count in self.components))
+
+    def __eq__(self, other):
+        if not isinstance(other, RowSpec):
+            return NotImplemented
+        return self.n == other.n and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.n, self.components))
+
+    def __repr__(self):
+        return f"RowSpec(n={self.n!r}, components={self.components!r})"
 
 
 class RowStats(NamedTuple):
@@ -442,20 +723,38 @@ class RowStats(NamedTuple):
     a: float   # sum of means
 
 
-def row_statistics(row: RowSpec, eps: float) -> RowStats:
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    u = 0.0
-    mv = 0.0
-    b = 0.0
-    a = 0.0
+def _row_stats(row: RowSpec, eps_list) -> tuple:
+    """(MV(n), B_n, a_n, max_k E X_k^2, [U(n, eps) per eps]) of a row, in one
+    pass; the sums run in group order and every maximum starts at 0.0."""
+    if row.columnar:
+        t = row.table
+        mean, var, m2 = t.moments
+        u = [max(0.0, float(t.prob_abs_ge(eps).max())) for eps in eps_list]
+        return (running_sum(var * t.count), max(0.0, float(var.max())),
+                running_sum(mean * t.count), max(0.0, float(m2.max())), u)
+    mv = b = a = max_m2 = 0.0
+    u = [0.0] * len(eps_list)
     for dist, count in row.components:
-        u = max(u, dist.prob_abs_ge(eps))
         v = dist.var()
         mv += v * count
         b = max(b, v)
         a += dist.mean() * count
+        max_m2 = max(max_m2, dist.second_moment())
+        for j, eps in enumerate(eps_list):
+            u[j] = max(u[j], dist.prob_abs_ge(eps))
+    return mv, b, a, max_m2, u
+
+
+def row_statistics(row: RowSpec, eps: float) -> RowStats:
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    mv, b, a, _, (u,) = _row_stats(row, (eps,))
     return RowStats(u, mv, b, a)
+
+
+# ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
 
 
 class ArrayGenerator:
@@ -592,9 +891,9 @@ def hypothesis_check(
 ) -> HypothesisReport:
     """Tabulate MV(n), B_n, a_n and U(n, eps), plus the Markov envelope.
 
-    Each row is visited once: every group's mean, variance and second moment
-    are taken once, and U(n, eps) for all eps in the same loop. The values
-    equal row_statistics(row, eps) field for field, to the last bit.
+    Each row is read once, for all eps, by the kernel behind row_statistics,
+    so the values equal row_statistics(row, eps) field for field, to the
+    last bit.
     """
     n_list, eps_list = check_lists(n_list, eps_list)
 
@@ -603,17 +902,7 @@ def hypothesis_check(
     bound_cols = [[] for _ in eps_list]
     markov_ok = True
     for n in n_list:
-        # the sums run in group order, as in row_statistics
-        row_mv = row_b = row_a = max_m2 = 0.0
-        row_u = [0.0] * len(eps_list)
-        for dist, count in gen.row(n).components:
-            v = dist.var()
-            row_mv += v * count
-            row_b = max(row_b, v)
-            row_a += dist.mean() * count
-            max_m2 = max(max_m2, dist.second_moment())
-            for j, eps in enumerate(eps_list):
-                row_u[j] = max(row_u[j], dist.prob_abs_ge(eps))
+        row_mv, row_b, row_a, max_m2, row_u = _row_stats(gen.row(n), eps_list)
         mv.append(row_mv)
         b.append(row_b)
         a.append(row_a)
@@ -667,39 +956,88 @@ def component_to_json(d: ComponentDist) -> dict:
     raise TypeError(f"unknown component type {type(d).__name__}")
 
 
-def component_from_json(obj, path: str = "") -> ComponentDist:
+#: the fields of each component kind
+_COMPONENT_FIELDS = {
+    "finite_discrete": ("kind", "atoms"),
+    "gaussian": ("kind", "mean", "var"),
+    "uniform": ("kind", "lo", "hi"),
+}
+
+
+def _refuse_unknown(obj: dict, fields: tuple, path: str) -> None:
+    """Refuse the first key of obj that is not in fields, with its pointer;
+    callers ask only when len(obj) differs from len(fields)."""
+    for key in obj:
+        if key not in fields:
+            token = key.replace("~", "~0").replace("/", "~1")
+            raise ArraySpecError(f"{path}/{token}: unknown field")
+
+
+def _component_key(obj, path: str) -> tuple:
+    """A component's JSON object as its key (see component_key), with every check of
+    the component classes; anything malformed is refused with its pointer.
+
+    A finite float is what json_number returns, so a number that is one
+    passes with a type test and a comparison, and the pointer of a number is
+    built only when it goes through json_number.
+    """
     if not isinstance(obj, dict):
         raise ArraySpecError(f"{path or '/'}: expected an object")
     kind = obj.get("kind")
     if kind is None:
         raise ArraySpecError(f"{path}/kind: missing required field")
-    try:
-        if kind == "finite_discrete":
-            atoms = obj.get("atoms")
-            if not isinstance(atoms, list) or not atoms:
-                raise ArraySpecError(f"{path}/atoms: expected a nonempty list")
-            pairs = []
-            for i, a in enumerate(atoms):
-                if not isinstance(a, list) or len(a) != 2:
-                    raise ArraySpecError(f"{path}/atoms/{i}: expected [site, prob]")
-                site, prob = a
-                # a finite float is what json_number returns; the rest goes
-                # through it, and its pointer is built only then
-                if type(site) is not float or not abs(site) <= _MAX_DOUBLE:
-                    site = json_number(site, f"{path}/atoms/{i}/0")
-                if type(prob) is not float or not abs(prob) <= _MAX_DOUBLE:
-                    prob = json_number(prob, f"{path}/atoms/{i}/1")
-                pairs.append((site, prob))
-            return FiniteDiscrete(tuple(pairs))
-        if kind == "gaussian":
-            return Gaussian(_req_num(obj, "mean", path), _req_num(obj, "var", path))
-        if kind == "uniform":
-            return Uniform(_req_num(obj, "lo", path), _req_num(obj, "hi", path))
-    except (ValueError, TypeError, IndexError, OverflowError) as exc:
-        if isinstance(exc, ArraySpecError):
-            raise
-        raise ArraySpecError(f"{path}: {exc}") from exc
-    raise ArraySpecError(f"{path}/kind: unknown component kind {kind!r}")
+    fields = _COMPONENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ArraySpecError(f"{path}/kind: unknown component kind {kind!r}")
+    if len(obj) != len(fields):
+        _refuse_unknown(obj, fields, path)
+    if kind == "finite_discrete":
+        atoms = obj.get("atoms")
+        if not isinstance(atoms, list) or not atoms:
+            raise ArraySpecError(f"{path}/atoms: expected a nonempty list")
+        pairs = []
+        total = 0.0
+        negative = None
+        for i, a in enumerate(atoms):
+            if not isinstance(a, list) or len(a) != 2:
+                raise ArraySpecError(f"{path}/atoms/{i}: expected [site, prob]")
+            site, prob = a
+            if type(site) is not float or not abs(site) <= _MAX_DOUBLE:
+                site = json_number(site, f"{path}/atoms/{i}/0")
+            if type(prob) is not float or not abs(prob) <= _MAX_DOUBLE:
+                prob = json_number(prob, f"{path}/atoms/{i}/1")
+            if prob < 0.0 and negative is None:
+                negative = (site, prob)
+            total += prob
+            pairs.append((site, prob))
+        # FiniteDiscrete's checks, in its order
+        if negative is not None:
+            site, prob = negative
+            raise ArraySpecError(f"{path}: negative probability {prob} at site {site}")
+        if abs(total - 1.0) > 1e-12:
+            raise ArraySpecError(f"{path}: atom probabilities sum to {total}, expected 1")
+        return (DISCRETE, tuple(pairs))
+    first, second = fields[1], fields[2]
+    x, y = obj.get(first), obj.get(second)
+    if type(x) is not float or not abs(x) <= _MAX_DOUBLE:
+        x = _req_num(obj, first, path)
+    if type(y) is not float or not abs(y) <= _MAX_DOUBLE:
+        y = _req_num(obj, second, path)
+    if kind == "gaussian":
+        if not y > 0.0:
+            raise ArraySpecError(
+                f"{path}: Gaussian needs finite mean and variance > 0, got ({x}, {y})")
+        return (GAUSSIAN, x, y)
+    if not x < y:
+        raise ArraySpecError(f"{path}: Uniform needs lo < hi, got ({x}, {y})")
+    return (UNIFORM, x, y)
+
+
+def component_from_json(obj, path: str = "") -> ComponentDist:
+    key = _component_key(obj, path)
+    if key[0] == DISCRETE:
+        return FiniteDiscrete(key[1])
+    return (Gaussian if key[0] == GAUSSIAN else Uniform)(key[1], key[2])
 
 
 def json_number(v, pointer: str, integer: bool = False):
@@ -744,12 +1082,16 @@ def generator_to_json(gen: ArrayGenerator) -> dict:
 
 
 def generator_from_json(obj, path: str = "") -> ArrayGenerator:
+    """Explicit rows are parsed straight into group tables: components group
+    by key, so no component object is made."""
     if not isinstance(obj, dict):
         raise ArraySpecError(f"{path or '/'}: expected an object")
     name = obj.get("generator")
     if name is None:
         raise ArraySpecError(f"{path}/generator: missing required field")
     if name == "standardized_iid":
+        if len(obj) != 2:
+            _refuse_unknown(obj, ("generator", "base"), path)
         if "base" not in obj:
             raise ArraySpecError(f"{path}/base: missing required field")
         base = component_from_json(obj["base"], f"{path}/base")
@@ -758,12 +1100,16 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
         except ValueError as exc:
             raise ArraySpecError(f"{path}/base: {exc}") from exc
     if name == "bernoulli_poisson":
+        if len(obj) != 2:
+            _refuse_unknown(obj, ("generator", "lambda"), path)
         lam = _req_num(obj, "lambda", path)
         try:
             return BernoulliPoisson(lam)
         except ValueError as exc:
             raise ArraySpecError(f"{path}/lambda: {exc}") from exc
     if name == "explicit":
+        if len(obj) != 2:
+            _refuse_unknown(obj, ("generator", "rows"), path)
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise ArraySpecError(f"{path}/rows: expected a nonempty list")
@@ -773,6 +1119,8 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
             rpath = f"{path}/rows/{i}"
             if not isinstance(robj, dict) or "n" not in robj or "components" not in robj:
                 raise ArraySpecError(f"{rpath}: expected an object with 'n' and 'components'")
+            if len(robj) != 2:
+                _refuse_unknown(robj, ("n", "components"), rpath)
             n = json_number(robj["n"], f"{rpath}/n", integer=True)
             if n in seen:
                 raise ArraySpecError(f"{rpath}/n: row n={n} repeats an earlier row")
@@ -780,13 +1128,15 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
             comps = robj["components"]
             if not isinstance(comps, list) or not comps:
                 raise ArraySpecError(f"{rpath}/components: expected a nonempty list")
-            comps = [
-                component_from_json(c, f"{rpath}/components/{j}") for j, c in enumerate(comps)
-            ]
             try:
-                # a generator, so no tuple of k(n) pairs outlives the grouping
-                built.append(RowSpec(n, ((c, 1) for c in comps)))
-            except (ValueError, TypeError) as exc:
-                raise ArraySpecError(f"{rpath}: {exc}") from exc
+                keys = [_component_key(c, "") for c in comps]
+            except ArraySpecError:
+                # the pointer of the first bad component, built only now
+                for j, c in enumerate(comps):
+                    _component_key(c, f"{rpath}/components/{j}")
+                raise
+            # equal components merge, the first appearance kept, as in RowSpec
+            groups = Counter(keys)
+            built.append(RowSpec.from_table(n, GroupTable.of_keys(groups, groups.values())))
         return ExplicitArray(tuple(built))
     raise ArraySpecError(f"{path}/generator: unknown generator {name!r}")

@@ -72,8 +72,11 @@ def validate_config(cfg) -> None:
             raise ConfigError(f"/{field}: unknown field for task {task!r}")
     if task == "psi-sweep" or task == "poisson-approx":
         meas = cfg.get("measure")
-        if isinstance(meas, dict) and meas.get("kind") == "from_array" and "array" not in cfg:
+        from_array = isinstance(meas, dict) and meas.get("kind") == "from_array"
+        if from_array and "array" not in cfg:
             raise ConfigError("/array: required when /measure/kind is 'from_array'")
+        if not from_array and "array" in cfg:
+            raise ConfigError("/array: read only when /measure/kind is 'from_array'")
     for field in _COUNTS:
         if field in cfg:
             json_number(cfg[field], f"/{field}", integer=True)

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .accumulation import AccumMeasure, build_accum, preweak_distance
 from .arrays import (
     ArrayGenerator,
@@ -23,6 +25,7 @@ from .arrays import (
     RowSpec,
     check_lists,
     hypothesis_check,
+    running_sum,
 )
 from .cf import CharFn, GaussianCF, to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
@@ -48,6 +51,9 @@ def lindeberg_gaussian(row: RowSpec, eps: float) -> float:
     """Sum over k of the second moment carried by {|x| >= eps}."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if row.columnar:
+        t = row.table
+        return math.fsum((t.count * t.tail_m2(0.0, eps, inclusive=True)).tolist())
     return math.fsum(
         count * d.tail_m2(0.0, eps, inclusive=True)
         for d, count in row.components
@@ -57,10 +63,14 @@ def lindeberg_gaussian(row: RowSpec, eps: float) -> float:
 def lindeberg_poisson(row: RowSpec, eps: float) -> float:
     """Sum over k of the centered second moment carried by {|x - 1| > eps}.
 
-    Components are centered at their own means before the tail is taken.
+    Components are centered at their own means before the tail is taken;
+    the sum runs in group order.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if row.columnar:
+        t = row.table
+        return running_sum(t.count * t.centered.tail_m2(1.0, eps, inclusive=False))
     total = 0.0
     for d, count in row.components:
         centered = d.shifted(d.mean())
@@ -220,12 +230,18 @@ def gaussian_verdict(
     n_list, eps_list = _verdict_lists(n_list, eps_list)
     rows = [gen.row(n) for n in n_list]
     for row in rows:
-        for i, (d, count) in enumerate(row.components):
-            if abs(d.mean()) > tolerances.structural:
-                raise NonCenteredRowError(
-                    f"row n={row.n} component {i} ({count} x {d!r}) has mean {d.mean():.3g}; "
-                    "use general_verdict (or poisson_verdict) for non-centered arrays"
-                )
+        if row.columnar:
+            off = np.flatnonzero(np.abs(row.table.moments[0]) > tolerances.structural).tolist()
+        else:
+            off = [i for i, (d, _) in enumerate(row.components)
+                   if abs(d.mean()) > tolerances.structural]
+        if off:
+            i = off[0]
+            d, count = row.components[i]
+            raise NonCenteredRowError(
+                f"row n={row.n} component {i} ({count} x {d!r}) has mean {d.mean():.3g}; "
+                "use general_verdict (or poisson_verdict) for non-centered arrays"
+            )
 
     hyp = hypothesis_check(gen, n_list, eps_list, c_target=1.0, tol=tolerances.exact_stat)
     mv, b, a = hyp.mv, hyp.b, hyp.a

@@ -23,7 +23,9 @@ import numpy as np
 # numpy loads numpy.random on first use (14 ms); imported here, start-up pays it
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .arrays import ArrayGenerator, ComponentDist, FiniteDiscrete, Gaussian, RowSpec, exp_sums
+from .arrays import (
+    DISCRETE, GAUSSIAN, ArrayGenerator, Gaussian, RowSpec, discrete_draws, exp_sums, uniform_draws,
+)
 from .cf import CharFn, GaussianCF, TranslatedPoissonCF, eval_cf
 from .normal import ndtr
 
@@ -58,31 +60,34 @@ def sample_sums(row: RowSpec, count: int, seed: int, stream_id: int = 0) -> np.n
     rng = _substream(seed, stream_id)
     total = np.zeros(count, dtype=np.float64)
     gauss_m, gauss_v = [], []
-    for comp, copies in row.components:
-        if isinstance(comp, Gaussian):
-            gauss_m.append(copies * comp.m)
-            gauss_v.append(copies * comp.v)
+    for family, copies, params in row.table.groups():
+        copies = int(copies)
+        if family == GAUSSIAN:
+            gauss_m.append(copies * params[0])
+            gauss_v.append(copies * params[1])
         else:
-            total += _group_sums(comp, copies, rng, count)
+            total += _group_sums(family, params, copies, rng, count)
     if gauss_v:
         total += Gaussian(math.fsum(gauss_m), math.fsum(gauss_v)).sample(rng, count)
     return total
 
 
-def _group_sums(comp: ComponentDist, copies: int, rng: Generator, size: int) -> np.ndarray:
-    """size realizations of the sum of `copies` independent draws of comp.
+def _group_sums(family: int, params, copies: int, rng: Generator, size: int) -> np.ndarray:
+    """size realizations of the sum of `copies` independent draws of one
+    discrete or uniform group, params as GroupTable.groups gives them.
 
-    A finite-discrete group is sites . Multinomial(copies, probs); any other
-    family draws once per copy (Irwin-Hall sums have no cheap exact sampler).
+    A discrete group is sites . Multinomial(copies, probs); a uniform one
+    draws once per copy (Irwin-Hall sums have no cheap exact sampler).
     """
-    if isinstance(comp, FiniteDiscrete) and copies > 1:
-        sites = np.array([x for x, _ in comp.atoms])
-        probs = np.array([p for _, p in comp.atoms])
-        # atoms may sum to 1 +- 1e-12, which numpy's own check can reject
-        return rng.multinomial(copies, probs / probs.sum(), size=size) @ sites
-    total = comp.sample(rng, size)
+    if family == DISCRETE:
+        sites, probs = params
+        if copies > 1:
+            # atoms may sum to 1 +- 1e-12, which numpy's own check can reject
+            return rng.multinomial(copies, probs / probs.sum(), size=size) @ sites
+        return discrete_draws(sites, probs, rng, size)
+    total = uniform_draws(*params, rng, size)
     for _ in range(copies - 1):
-        total += comp.sample(rng, size)
+        total += uniform_draws(*params, rng, size)
     return total
 
 

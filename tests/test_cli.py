@@ -318,6 +318,42 @@ REFUSED = {
     "string-cf-param": (
         _simulate({"kind": "cf", "spec": {"family": "gaussian", "params": {"m": 0.0, "var": "1"}}}),
         "/limit/spec/params/var: expected a number, got '1'"),
+    # every object under /array names its fields; a field it does not read is refused
+    "unknown-component-field": (
+        _row_components([{"kind": "gaussian", "mean": 0.0, "var": 1.0},
+                         {"kind": "gaussian", "mean": 0.0, "var": 1.0, "note": 1}]),
+        "/array/rows/0/components/1/note: unknown field"),
+    "unknown-component-field-overflow": (
+        json.dumps(_row_components([{"kind": "uniform", "lo": -1.0, "hi": 1.0, "note": 1.0}]))
+        .replace('"note": 1.0', '"note": 1e999'),
+        "/array/rows/0/components/0/note: unknown field"),
+    "unknown-atoms-field": (_row_components([{"kind": "finite_discrete", "atoms": [[0.0, 1.0]],
+                                               "weights": [1.0]}]),
+                            "/array/rows/0/components/0/weights: unknown field"),
+    "unknown-base-field": (_hypotheses(array={"generator": "standardized_iid",
+                                              "base": {"kind": "gaussian", "mean": 0.0, "var": 1.0,
+                                                       "a/b~": 0}}),
+                           "/array/base/a~1b~0: unknown field"),
+    "unknown-row-field": (_hypotheses(array={"generator": "explicit", "rows": [
+        {"n": 10, "components": [{"kind": "gaussian", "mean": 0.0, "var": 1.0}], "count": 2}]},
+        n_list=[10]), "/array/rows/0/count: unknown field"),
+    "unknown-iid-field": (_hypotheses(array=dict(RADEMACHER_ARRAY, n=3)), "/array/n: unknown field"),
+    "unknown-bernoulli-field": (
+        _hypotheses(array={"generator": "bernoulli_poisson", "lambda": 1.0, "p": 0.5}),
+        "/array/p: unknown field"),
+    "unknown-explicit-field": (_hypotheses(array=dict(_TWIN_ROWS, scale=1.0)),
+                               "/array/scale: unknown field"),
+    "unknown-piece-dist-field": (
+        _sweep({"kind": "explicit", "measure": {"pieces": [
+            {"weight": 1.0, "dist": {"kind": "uniform", "lo": -1.0, "hi": 1.0, "n": 2}}]}}),
+        "/measure/measure/pieces/0/dist/n: unknown field"),
+    # /array is read only for a from_array measure
+    "array-beside-explicit-measure": (_sweep({"kind": "dirac_zero"}) | {"array": RADEMACHER_ARRAY},
+                                      "/array: read only when /measure/kind is 'from_array'"),
+    "malformed-array-beside-one-atom-measure": (
+        {"task": "poisson-approx", "measure": {"kind": "scaled_dirac_one"}, "window": 1.5,
+         "mesh_cells": [4], "u_grid": [0.5], "array": {"generator": "warp"}},
+        "/array: read only when /measure/kind is 'from_array'"),
     "string-cf-term": (
         _simulate({"kind": "cf", "spec": {"family": "poisson_type_product", "params": {
             "terms": [{"drift": 0.0, "intensity": True, "site": 1.0}]}}}),
