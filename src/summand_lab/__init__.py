@@ -42,11 +42,8 @@ from .cf import (
     PowerCF,
     ProductCF,
     TranslatedPoissonCF,
-    conjugate_and_norm,
     eval_cf,
-    product,
     pth_root,
-    root_limit_profile,
 )
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .criteria import (
@@ -64,7 +61,6 @@ from .criteria import (
 from .exponent import (
     CurvatureCheck,
     MeshRefinementError,
-    compensated_kernel,
     curvature_check,
     exponent_eval,
     limit_char_fn,

@@ -98,10 +98,16 @@ class AccumMeasure:
                                   [w for w, _ in self.pieces])
 
     @cached_property
+    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms' sites and masses as two float arrays."""
+        return (np.array([s for s, _ in self.atoms], dtype=np.float64),
+                np.array([m for _, m in self.atoms], dtype=np.float64))
+
+    @cached_property
     def _atom_prefix(self) -> tuple[np.ndarray, np.ndarray]:
         # sites, and the masses' running sums from 0.0
-        return (np.array([s for s, _ in self.atoms]),
-                np.cumsum([0.0] + [m for _, m in self.atoms]))
+        sites, masses = self.atom_arrays
+        return sites, np.cumsum(np.concatenate(([0.0], masses)))
 
     def _fields(self) -> tuple:
         return (self.atoms, self.pieces, self.total_mass, self.row_n, self.centered)

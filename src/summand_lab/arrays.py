@@ -3,8 +3,8 @@
 Component families are restricted to those with closed-form partial and
 tail second moments (finite-discrete, Gaussian, uniform), so accumulation
 measures and Lindeberg sums downstream carry no quadrature error; the
-continuous ones also carry a closed-form compensated characteristic
-function, so the limit exponent needs none either.
+continuous ones also have closed-form compensated characteristic
+functions, so the limit exponent needs none either.
 
 A row keeps its distinct components as a GroupTable, one array per family
 and parameter. Rows of many groups compute their statistics from it as
@@ -15,7 +15,6 @@ them.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections import Counter
@@ -177,11 +176,6 @@ class Gaussian(ComponentDist):
     def cf(self, t):
         return cexp(self.m * t, -0.5 * self.v * t * t)
 
-    def compensated_cf(self, t: float) -> complex:
-        """E[e^{itX} - 1 - itX] = e^z - 1 - imt with z = imt - vt^2/2."""
-        z = complex(-0.5 * self.v * t * t, self.m * t)
-        return z * z * phi2(z) + z.real  # (e^z - 1 - z) + Re z
-
     def prob_abs_ge(self, eps):
         sd = math.sqrt(self.v)
         return ndtr_scalar((self.m - eps) / sd) + ndtr_scalar((-eps - self.m) / sd)
@@ -241,20 +235,6 @@ class Uniform(ComponentDist):
         mid = 0.5 * (self.hi + self.lo) * t
         return cexp(mid, 0.0) * _sinc(half)
 
-    def compensated_cf(self, t: float) -> complex:
-        """E[e^{itX} - 1 - itX], cancellation-safe for small |t| and narrow,
-        off-centre supports.
-
-        With X = c + h U, U uniform on [-1, 1], the value is
-        e^{ict} (sinc(ht) - 1) + (e^{ict} - 1 - ict), and both terms have
-        the sign of the whole at small |t|, so nothing cancels.
-        """
-        ct = 0.5 * (self.hi + self.lo) * t
-        theta = 0.5 * (self.hi - self.lo) * t
-        sinc_m1 = -theta * phi2(complex(0.0, theta)).imag  # (sin(theta) - theta) / theta
-        w = complex(0.0, ct)
-        return cexp(ct, 0.0) * sinc_m1 + w * w * phi2(w)
-
     def prob_abs_ge(self, eps):
         overlap = max(0.0, min(self.hi, eps) - max(self.lo, -eps))
         return 1.0 - overlap / (self.hi - self.lo)
@@ -303,18 +283,35 @@ _SERIES_SWITCH = 0.5
 _PHI2_COEFFS = tuple(1.0 / math.factorial(j) for j in range(15, 1, -1))
 
 
-def phi2(w: complex) -> complex:
-    """(e^w - 1 - w) / w^2, with the removable value 1/2 at w = 0.
+def phi2(w) -> np.ndarray:
+    """(e^w - 1 - w) / w^2 elementwise on a complex array, with the removable
+    value 1/2 at w = 0.
 
     The one small-argument series behind every compensated exponential:
-    atoms of the limit exponent and the compensated characteristic functions.
+    atoms of the limit exponent and the compensated characteristic functions
+    of its pieces. Entries with |w| < _SERIES_SWITCH take the series, the
+    others the direct form.
     """
-    if abs(w) < _SERIES_SWITCH:
-        acc = 0j
-        for c in _PHI2_COEFFS:
-            acc = acc * w + c
-        return acc
-    return (cmath.exp(w) - 1.0 - w) / (w * w)
+    w = np.asarray(w, dtype=np.complex128)
+    out = np.empty_like(w)
+    small = np.abs(w) < _SERIES_SWITCH
+    ws = w[small]
+    acc = np.zeros_like(ws)
+    for c in _PHI2_COEFFS:
+        acc = acc * ws + c
+    out[small] = acc
+    wb = w[~small]
+    out[~small] = (np.exp(wb) - 1.0 - wb) / (wb * wb)
+    return out
+
+
+def complex_array(re, im) -> np.ndarray:
+    """re + i im elementwise, broadcast; unlike re + 1j * im, an infinite im
+    does not turn the real part into NaN."""
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 #: angle-addition steps between exact re-seeds in exp_sums: each step adds
@@ -883,26 +880,26 @@ def check_lists(n_list, eps_list) -> tuple[tuple[int, ...], tuple[float, ...]]:
 
 
 def hypothesis_check(
-    gen: ArrayGenerator,
-    n_list: Sequence[int],
+    rows: Sequence[RowSpec],
     eps_list: Sequence[float],
     c_target: float | None = None,
     tol: float = 1e-3,
 ) -> HypothesisReport:
-    """Tabulate MV(n), B_n, a_n and U(n, eps), plus the Markov envelope.
+    """Tabulate MV(n), B_n, a_n and U(n, eps), plus the Markov envelope, over
+    rows given in increasing order of n.
 
     Each row is read once, for all eps, by the kernel behind row_statistics,
     so the values equal row_statistics(row, eps) field for field, to the
     last bit.
     """
-    n_list, eps_list = check_lists(n_list, eps_list)
+    n_list, eps_list = check_lists([r.n for r in rows], eps_list)
 
     mv, b, a = [], [], []
     u_cols = [[] for _ in eps_list]
     bound_cols = [[] for _ in eps_list]
     markov_ok = True
-    for n in n_list:
-        row_mv, row_b, row_a, max_m2, row_u = _row_stats(gen.row(n), eps_list)
+    for row in rows:
+        row_mv, row_b, row_a, max_m2, row_u = _row_stats(row, eps_list)
         mv.append(row_mv)
         b.append(row_b)
         a.append(row_a)

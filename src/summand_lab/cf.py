@@ -1,20 +1,23 @@
 """Closed-form characteristic-function algebra for infinitely decomposable laws.
 
-Every variant evaluates by an explicit non-vanishing closed form, so p-th
-roots are computed symbolically per family (parameter rescaling), never via
-a numerical complex logarithm; no branch tracking is needed anywhere.
+Each family owns its formula. ``log_cf(u)`` takes a float array and returns
+a complex array whose exp is the characteristic function: a closed form,
+continuous in u (not the principal logarithm), so nothing needs branch
+tracking. p-th roots are computed symbolically per family (parameter
+rescaling), never via a numerical complex logarithm. Each family declares
+its JSON name and fields, and to_json and from_json read one registry.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .accumulation import AccumMeasure, measure_from_json, measure_to_json
-from .arrays import ArraySpecError, exp_sums, json_number
+from .arrays import ArraySpecError, complex_array, exp_sums, json_number
 
 
 class CharFnError(ValueError):
@@ -26,26 +29,59 @@ class NoClosedFormRootError(CharFnError):
 
 
 class CharFn:
-    """Base class. Instances are immutable values; evaluation is pure."""
+    """Base class. Instances are immutable values; evaluation is pure.
 
-    def __call__(self, t: float) -> complex:
+    A family sets FAMILY, its JSON name, and PARAMS, its (JSON key,
+    attribute) pairs in JSON order, and has one entry in FAMILIES.
+    """
+
+    FAMILY: ClassVar[str]
+    PARAMS: ClassVar[tuple[tuple[str, str], ...]]
+
+    def __call__(self, t):
         return eval_cf(self, t)
+
+    def log_cf(self, u: np.ndarray) -> np.ndarray:
+        """A complex array, of u's shape, whose exp is the CF at u."""
+        raise NotImplementedError
+
+    def root(self, p: int) -> "CharFn":
+        """The p-th root as the same family with rescaled parameters."""
+        raise NoClosedFormRootError(
+            f"no closed-form root for {type(self).__name__}; "
+            "roots exist for the named families, Poisson-type products, and canonical forms"
+        )
+
+    @classmethod
+    def from_params(cls, params: dict, pointer: str) -> "CharFn":
+        """The spec of a JSON params object; here, one number per PARAMS pair."""
+        return cls(**{attr: _param(params, key, pointer) for key, attr in cls.PARAMS})
 
 
 @dataclass(frozen=True)
 class Degenerate(CharFn):
-    """Point mass at a: e^{iat}."""
+    """Point mass at a: e^{iau}."""
 
+    FAMILY = "degenerate"
+    PARAMS = (("a", "a"),)
     a: float
 
     def __post_init__(self):
         _require_finite(self.a, "a")
 
+    def log_cf(self, u):
+        return complex_array(0.0, self.a * u)
+
+    def root(self, p):
+        return Degenerate(self.a / p)
+
 
 @dataclass(frozen=True)
 class GaussianCF(CharFn):
-    """exp(imt - var t^2 / 2). var = 0 is allowed and behaves as Degenerate(m)."""
+    """exp(imu - var u^2 / 2). var = 0 is allowed and behaves as Degenerate(m)."""
 
+    FAMILY = "gaussian"
+    PARAMS = (("m", "m"), ("var", "var"))
     m: float
     var: float
 
@@ -55,11 +91,19 @@ class GaussianCF(CharFn):
         if self.var < 0.0:
             raise CharFnError(f"variance must be >= 0, got {self.var}")
 
+    def log_cf(self, u):
+        return complex_array(-0.5 * self.var * u * u, self.m * u)
+
+    def root(self, p):
+        return GaussianCF(self.m / p, self.var / p)
+
 
 @dataclass(frozen=True)
 class TranslatedPoissonCF(CharFn):
-    """Law of a + Poisson(lam): exp(iat + lam(e^{it} - 1))."""
+    """Law of a + Poisson(lam): exp(iau + lam(e^{iu} - 1))."""
 
+    FAMILY = "translated_poisson"
+    PARAMS = (("a", "a"), ("lambda", "lam"))
     a: float
     lam: float
 
@@ -68,11 +112,19 @@ class TranslatedPoissonCF(CharFn):
         if not self.lam > 0.0:
             raise CharFnError(f"lambda must be > 0, got {self.lam}")
 
+    def log_cf(self, u):
+        return complex_array(self.lam * (np.cos(u) - 1.0), self.a * u + self.lam * np.sin(u))
+
+    def root(self, p):
+        return TranslatedPoissonCF(self.a / p, self.lam / p)
+
 
 @dataclass(frozen=True)
 class GammaCF(CharFn):
-    """(1 - it/rate)^{-shape}, principal power (the base has real part 1)."""
+    """(1 - iu/rate)^{-shape}, principal power (the base has real part 1)."""
 
+    FAMILY = "gamma"
+    PARAMS = (("shape", "shape"), ("rate", "rate"))
     shape: float
     rate: float
 
@@ -82,11 +134,19 @@ class GammaCF(CharFn):
         if not self.rate > 0.0:
             raise CharFnError(f"rate must be > 0, got {self.rate}")
 
+    def log_cf(self, u):
+        return -self.shape * np.log(complex_array(1.0, -u / self.rate))
+
+    def root(self, p):
+        return GammaCF(self.shape / p, self.rate)
+
 
 @dataclass(frozen=True)
 class CauchyCF(CharFn):
-    """exp(i loc t - scale |t|)."""
+    """exp(i loc u - scale |u|)."""
 
+    FAMILY = "cauchy"
+    PARAMS = (("loc", "loc"), ("scale", "scale"))
     loc: float
     scale: float
 
@@ -94,6 +154,12 @@ class CauchyCF(CharFn):
         _require_finite(self.loc, "loc")
         if not self.scale > 0.0:
             raise CharFnError(f"scale must be > 0, got {self.scale}")
+
+    def log_cf(self, u):
+        return complex_array(-self.scale * np.abs(u), self.loc * u)
+
+    def root(self, p):
+        return CauchyCF(self.loc / p, self.scale / p)
 
 
 @dataclass(frozen=True)
@@ -114,30 +180,72 @@ class PoissonTypeTerm:
 
 @dataclass(frozen=True)
 class PoissonTypeProduct(CharFn):
+    FAMILY = "poisson_type_product"
+    PARAMS = (("terms", "terms"),)
     terms: tuple[PoissonTypeTerm, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
+    def log_cf(self, u):
+        """sum_j intensity_j (e^{iu site_j} - 1) + iu sum_j (shift_j - drift_j),
+        the exponential sums taken by exp_sums over the whole grid."""
+        sites = np.array([t.site for t in self.terms], dtype=np.float64)
+        intensities = np.array([t.intensity for t in self.terms], dtype=np.float64)
+        net_shift = math.fsum(t.shift - t.drift for t in self.terms)
+        expo = (exp_sums(u, sites, intensities) - math.fsum(intensities)).reshape(np.shape(u))
+        # the real part, sum_j intensity_j (cos(u site_j) - 1), is <= 0; summed
+        # as two totals it can round a few ulps above, and |product| would pass 1
+        np.minimum(expo.real, 0.0, out=expo.real)
+        return expo + 1j * net_shift * u
+
+    def root(self, p):
+        return PoissonTypeProduct(tuple(
+            PoissonTypeTerm(t.drift / p, t.intensity / p, t.site, t.shift / p) for t in self.terms
+        ))
+
+    @classmethod
+    def from_params(cls, params, pointer):
+        return cls(tuple(
+            PoissonTypeTerm(
+                *(_param(t, k, f"{pointer}/terms/{i}") for k in ("drift", "intensity", "site")),
+                _param(t, "shift", f"{pointer}/terms/{i}", default=0.0),
+            )
+            for i, t in enumerate(params["terms"])
+        ))
+
 
 @dataclass(frozen=True)
 class KolmogorovCF(CharFn):
-    """Canonical finite-variance form exp(i shift u + ∫ g(u,x) dK(x)).
+    """Canonical finite-variance form exp(i shift u + Psi(u)), with
+    Psi(u) = ∫ (e^{iux} - 1 - iux) / x^2 dK(x) from exponent.exponent_eval."""
 
-    Evaluation of the integral lives in the exponent module, in closed form:
-    atoms through the compensated kernel, continuous pieces through their
-    compensated characteristic functions.
-    """
-
+    FAMILY = "kolmogorov"
+    PARAMS = (("shift", "shift"), ("measure", "measure"))
     shift: float
     measure: AccumMeasure
 
     def __post_init__(self):
         _require_finite(self.shift, "shift")
 
+    def log_cf(self, u):
+        from .exponent import exponent_eval  # deferred: exponent imports this module
+
+        return complex_array(0.0, self.shift * u) + exponent_eval(self.measure, u)
+
+    def root(self, p):
+        return KolmogorovCF(self.shift / p, self.measure.scaled_mass(1.0 / p))
+
+    @classmethod
+    def from_params(cls, params, pointer):
+        return cls(_param(params, "shift", pointer),
+                   measure_from_json(params["measure"], f"{pointer}/measure"))
+
 
 @dataclass(frozen=True)
 class ProductCF(CharFn):
+    FAMILY = "product"
+    PARAMS = (("factors", "factors"),)
     factors: tuple[CharFn, ...]
 
     def __post_init__(self):
@@ -145,11 +253,21 @@ class ProductCF(CharFn):
         if not self.factors:
             raise CharFnError("product needs at least one factor")
 
+    def log_cf(self, u):
+        return sum((f.log_cf(u) for f in self.factors), 0j)
+
+    @classmethod
+    def from_params(cls, params, pointer):
+        return cls(tuple(from_json(f, f"{pointer}/factors/{i}")
+                         for i, f in enumerate(params["factors"])))
+
 
 @dataclass(frozen=True)
 class PowerCF(CharFn):
     """base^{1/p}; only bases with a symbolic root are representable."""
 
+    FAMILY = "power"
+    PARAMS = (("base", "base"), ("p", "p"))
     base: CharFn
     p: int
 
@@ -158,10 +276,36 @@ class PowerCF(CharFn):
             raise CharFnError(f"exponent denominator must be a positive integer, got {self.p}")
         pth_root(self.base, self.p)  # raises NoClosedFormRootError for bad bases
 
+    def log_cf(self, u):
+        return pth_root(self.base, self.p).log_cf(u)
+
+    @classmethod
+    def from_params(cls, params, pointer):
+        p = _param(params, "p", pointer, integer=True)
+        if p < 1:
+            raise CharFnError(f"{pointer}/p: expected an integer >= 1, got {p}")
+        return cls(from_json(params["base"], f"{pointer}/base"), p)
+
 
 @dataclass(frozen=True)
 class ConjugateCF(CharFn):
+    FAMILY = "conjugate"
+    PARAMS = (("base", "base"),)
     base: CharFn
+
+    def log_cf(self, u):
+        return np.conj(self.base.log_cf(u))
+
+    @classmethod
+    def from_params(cls, params, pointer):
+        return cls(from_json(params["base"], f"{pointer}/base"))
+
+
+#: JSON family name -> class: the one table to_json and from_json read
+FAMILIES = {cls.FAMILY: cls for cls in (
+    Degenerate, GaussianCF, TranslatedPoissonCF, GammaCF, CauchyCF,
+    PoissonTypeProduct, KolmogorovCF, ProductCF, PowerCF, ConjugateCF,
+)}
 
 
 def _require_finite(x: float, name: str) -> None:
@@ -174,110 +318,18 @@ def _require_finite(x: float, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def eval_cf(spec: CharFn, t: float) -> complex:
-    """Closed-form evaluation at a real argument."""
-    if isinstance(spec, Degenerate):
-        return cmath.exp(1j * spec.a * t)
-    if isinstance(spec, GaussianCF):
-        return cmath.exp(complex(-0.5 * spec.var * t * t, spec.m * t))
-    if isinstance(spec, TranslatedPoissonCF):
-        return cmath.exp(1j * spec.a * t + spec.lam * (cmath.exp(1j * t) - 1.0))
-    if isinstance(spec, GammaCF):
-        return (1.0 - 1j * t / spec.rate) ** (-spec.shape)
-    if isinstance(spec, CauchyCF):
-        return cmath.exp(complex(-spec.scale * abs(t), spec.loc * t))
-    if isinstance(spec, PoissonTypeProduct):
-        return cmath.exp(complex(product_exponent(spec, (t,))[0]))
-    if isinstance(spec, KolmogorovCF):
-        from .exponent import exponent_eval  # deferred: exponent imports this module
-
-        val = exponent_eval(spec.measure, t)
-        return cmath.exp(1j * spec.shift * t + val)
-    if isinstance(spec, ProductCF):
-        out = 1.0 + 0.0j
-        for f in spec.factors:
-            out *= eval_cf(f, t)
-        return out
-    if isinstance(spec, PowerCF):
-        return eval_cf(pth_root(spec.base, spec.p), t)
-    if isinstance(spec, ConjugateCF):
-        return eval_cf(spec.base, t).conjugate()
-    raise TypeError(f"unknown characteristic-function type {type(spec).__name__}")
-
-
-def product_exponent(spec: PoissonTypeProduct, u_grid) -> np.ndarray:
-    """Log of a Poisson-type product on a u-grid, as a complex array:
-    sum_j intensity_j (e^{iu site_j} - 1) + iu sum_j (shift_j - drift_j).
-    """
-    sites = np.array([term.site for term in spec.terms], dtype=np.float64)
-    intensities = np.array([term.intensity for term in spec.terms], dtype=np.float64)
-    net_shift = math.fsum(term.shift - term.drift for term in spec.terms)
-    u = np.asarray(u_grid, dtype=np.float64)
-    expo = exp_sums(u, sites, intensities) - math.fsum(intensities)
-    # the real part, sum_j intensity_j (cos(u site_j) - 1), is <= 0; summed
-    # as two totals it can round a few ulps above, and |product| would pass 1
-    np.minimum(expo.real, 0.0, out=expo.real)
-    return expo + 1j * net_shift * u
+def eval_cf(spec: CharFn, u):
+    """The characteristic function at a scalar u or at every point of an
+    array u, in u's shape: exp of the family's log_cf."""
+    with np.errstate(over="ignore"):  # an overflowing exponent is -inf: exp is 0
+        return np.exp(spec.log_cf(np.asarray(u, dtype=np.float64)))[()]
 
 
 def pth_root(spec: CharFn, p: int) -> CharFn:
     """Symbolic p-th root: the same family with rescaled parameters."""
     if not (isinstance(p, int) and p >= 1):
         raise CharFnError(f"p must be a positive integer, got {p}")
-    if isinstance(spec, Degenerate):
-        return Degenerate(spec.a / p)
-    if isinstance(spec, GaussianCF):
-        return GaussianCF(spec.m / p, spec.var / p)
-    if isinstance(spec, TranslatedPoissonCF):
-        return TranslatedPoissonCF(spec.a / p, spec.lam / p)
-    if isinstance(spec, GammaCF):
-        return GammaCF(spec.shape / p, spec.rate)
-    if isinstance(spec, CauchyCF):
-        return CauchyCF(spec.loc / p, spec.scale / p)
-    if isinstance(spec, PoissonTypeProduct):
-        return PoissonTypeProduct(
-            tuple(
-                PoissonTypeTerm(t.drift / p, t.intensity / p, t.site, t.shift / p)
-                for t in spec.terms
-            )
-        )
-    if isinstance(spec, KolmogorovCF):
-        return KolmogorovCF(spec.shift / p, spec.measure.scaled_mass(1.0 / p))
-    raise NoClosedFormRootError(
-        f"no closed-form root for {type(spec).__name__}; "
-        "roots exist for the named families, Poisson-type products, and canonical forms"
-    )
-
-
-def product(factors) -> CharFn:
-    """Pointwise product; evaluation multiplies factor values."""
-    factors = tuple(factors)
-    if not factors:
-        raise CharFnError("product needs at least one factor")
-    return ProductCF(factors)
-
-
-def conjugate_and_norm(spec: CharFn) -> tuple[CharFn, CharFn]:
-    """(conjugate, |psi|^2 as a product); the norm square is real in [0, 1]."""
-    conj = ConjugateCF(spec)
-    return conj, ProductCF((spec, conj))
-
-
-def root_limit_profile(spec: CharFn, t_grid, n_max: int) -> np.ndarray:
-    """Deviation table |psi^{1/n}(t) - 1|, shape (n_max, len(t_grid)).
-
-    Row n-1 holds the deviations for the n-th root; the trend toward zero is
-    asserted by the test suite.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    t_grid = tuple(float(t) for t in t_grid)
-    out = np.empty((n_max, len(t_grid)))
-    for n in range(1, n_max + 1):
-        root = pth_root(spec, n)
-        for j, t in enumerate(t_grid):
-            out[n - 1, j] = abs(eval_cf(root, t) - 1.0)
-    return out
+    return spec.root(p)
 
 
 # ---------------------------------------------------------------------------
@@ -286,38 +338,23 @@ def root_limit_profile(spec: CharFn, t_grid, n_max: int) -> np.ndarray:
 
 
 def to_json(spec: CharFn) -> dict:
-    if isinstance(spec, Degenerate):
-        return {"family": "degenerate", "params": {"a": spec.a}}
-    if isinstance(spec, GaussianCF):
-        return {"family": "gaussian", "params": {"m": spec.m, "var": spec.var}}
-    if isinstance(spec, TranslatedPoissonCF):
-        return {"family": "translated_poisson", "params": {"a": spec.a, "lambda": spec.lam}}
-    if isinstance(spec, GammaCF):
-        return {"family": "gamma", "params": {"shape": spec.shape, "rate": spec.rate}}
-    if isinstance(spec, CauchyCF):
-        return {"family": "cauchy", "params": {"loc": spec.loc, "scale": spec.scale}}
-    if isinstance(spec, PoissonTypeProduct):
-        return {
-            "family": "poisson_type_product",
-            "params": {
-                "terms": [
-                    {"drift": t.drift, "intensity": t.intensity, "site": t.site, "shift": t.shift}
-                    for t in spec.terms
-                ]
-            },
-        }
-    if isinstance(spec, KolmogorovCF):
-        return {
-            "family": "kolmogorov",
-            "params": {"shift": spec.shift, "measure": measure_to_json(spec.measure)},
-        }
-    if isinstance(spec, ProductCF):
-        return {"family": "product", "params": {"factors": [to_json(f) for f in spec.factors]}}
-    if isinstance(spec, PowerCF):
-        return {"family": "power", "params": {"base": to_json(spec.base), "p": spec.p}}
-    if isinstance(spec, ConjugateCF):
-        return {"family": "conjugate", "params": {"base": to_json(spec.base)}}
-    raise TypeError(f"unknown characteristic-function type {type(spec).__name__}")
+    return {"family": spec.FAMILY,
+            "params": {key: _json_value(getattr(spec, attr)) for key, attr in spec.PARAMS}}
+
+
+def _json_value(v):
+    """A parameter as JSON: a term as its fields, which are its JSON keys, a
+    spec as its object, a tuple as a list, a measure by its schema, a number
+    as itself. Terms come first: a product has hundreds."""
+    if isinstance(v, PoissonTypeTerm):
+        return dict(vars(v))
+    if isinstance(v, CharFn):
+        return to_json(v)
+    if isinstance(v, AccumMeasure):
+        return measure_to_json(v)
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
 
 
 def _param(obj: dict, key: str, pointer: str, default: float | None = None, integer: bool = False):
@@ -342,47 +379,15 @@ def from_json(obj, path: str = "") -> CharFn:
     params = obj.get("params")
     if not isinstance(params, dict):
         raise CharFnError(f"{path}/params: missing or not an object")
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise CharFnError(f"{path}/family: unknown family {family!r}")
     pp = f"{path}/params"
     try:
-        if family == "degenerate":
-            return Degenerate(_param(params, "a", pp))
-        if family == "gaussian":
-            return GaussianCF(_param(params, "m", pp), _param(params, "var", pp))
-        if family == "translated_poisson":
-            return TranslatedPoissonCF(_param(params, "a", pp), _param(params, "lambda", pp))
-        if family == "gamma":
-            return GammaCF(_param(params, "shape", pp), _param(params, "rate", pp))
-        if family == "cauchy":
-            return CauchyCF(_param(params, "loc", pp), _param(params, "scale", pp))
-        if family == "poisson_type_product":
-            return PoissonTypeProduct(
-                tuple(
-                    PoissonTypeTerm(
-                        *(_param(t, k, f"{pp}/terms/{i}") for k in ("drift", "intensity", "site")),
-                        _param(t, "shift", f"{pp}/terms/{i}", default=0.0),
-                    )
-                    for i, t in enumerate(params["terms"])
-                )
-            )
-        if family == "kolmogorov":
-            return KolmogorovCF(
-                _param(params, "shift", pp), measure_from_json(params["measure"], f"{pp}/measure")
-            )
-        if family == "product":
-            return ProductCF(
-                tuple(from_json(f, f"{pp}/factors/{i}") for i, f in enumerate(params["factors"]))
-            )
-        if family == "power":
-            p = _param(params, "p", pp, integer=True)
-            if p < 1:
-                raise CharFnError(f"{pp}/p: expected an integer >= 1, got {p}")
-            return PowerCF(from_json(params["base"], f"{pp}/base"), p)
-        if family == "conjugate":
-            return ConjugateCF(from_json(params["base"], f"{pp}/base"))
+        return cls.from_params(params, pp)
     except KeyError as exc:
         raise CharFnError(f"{pp}/{exc.args[0]}: missing required field") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, (CharFnError, ArraySpecError)):
             raise
         raise CharFnError(f"{pp}: {exc}") from exc
-    raise CharFnError(f"{path}/family: unknown family {family!r}")

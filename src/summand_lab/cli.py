@@ -24,12 +24,14 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .accumulation import AccumMeasure, build_accum, export_measure_csv, measure_from_json
-from .arrays import ArraySpecError, generator_from_json, hypothesis_check, json_number
+from .arrays import ArraySpecError, check_lists, generator_from_json, hypothesis_check, json_number
 from .cf import CharFnError, from_json as cf_from_json, to_json as cf_to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .criteria import VerdictReport, gaussian_verdict, general_verdict, poisson_verdict
-from .exponent import exp_psi, exponent_eval, poisson_product_approx
+from .exponent import curvature_check, exponent_eval, poisson_product_approx
 from .jsontext import Verbatim, json_text
 from .montecarlo import (
     SimulationPlan,
@@ -207,7 +209,8 @@ def _parse_sim_limit(obj, pointer: str):
 
 # ---------------------------------------------------------------------------
 # Task runners: each returns (passed, results, tables, plots, extra_files)
-# tables: list of (relpath, header, rows); plots: list of (relpath, svg text)
+# tables: list of (relpath, header, rows); plots: list of (relpath, series,
+# title, xlabel, ylabel), rendered by main only when /plots is on
 # ---------------------------------------------------------------------------
 
 
@@ -219,10 +222,10 @@ def _run_hypotheses(cfg, tolerances, seed):
     gen = generator_from_json(cfg["array"], "/array")
     # checked, but passed on as written: the report echoes it
     _optional_number(cfg.get("c_target"), "/c_target")
+    n_list, eps_list = check_lists(cfg["n_list"], cfg["eps_list"])
     hyp = hypothesis_check(
-        gen,
-        cfg["n_list"],
-        cfg["eps_list"],
+        [gen.row(n) for n in n_list],
+        eps_list,
         c_target=cfg.get("c_target"),
         tol=tolerances.exact_stat,
     )
@@ -244,24 +247,11 @@ def _run_hypotheses(cfg, tolerances, seed):
     ]
     xs = _log_n(hyp.n_list)
     plots = [
-        (
-            "plots/variance_stats.svg",
-            line_plot_svg(
-                [("MV(n)", xs, hyp.mv), ("B_n", xs, hyp.b)],
-                title="variance statistics",
-                xlabel="log10 n",
-                ylabel="value",
-            ),
-        ),
-        (
-            "plots/negligibility.svg",
-            line_plot_svg(
-                [(f"eps={eps!r}", xs, col) for eps, col in zip(hyp.eps_list, hyp.u_table)],
-                title="max exceedance probability",
-                xlabel="log10 n",
-                ylabel="U(n, eps)",
-            ),
-        ),
+        ("plots/variance_stats.svg", [("MV(n)", xs, hyp.mv), ("B_n", xs, hyp.b)],
+         "variance statistics", "log10 n", "value"),
+        ("plots/negligibility.svg",
+         [(f"eps={eps!r}", xs, col) for eps, col in zip(hyp.eps_list, hyp.u_table)],
+         "max exceedance probability", "log10 n", "U(n, eps)"),
     ]
     return True, {"hypothesis": hyp.to_dict()}, tables, plots, []
 
@@ -283,24 +273,11 @@ def _verdict_tables(rep: VerdictReport):
         header = ["n"] + [f"eps={eps!r}" for eps in table]
         rows = [[n] + [table[eps][i] for eps in table] for i, n in enumerate(rep.n_list)]
         tables.append((f"tables/{name}.csv", header, rows))
-        plots.append(
-            (
-                f"plots/{name}.svg",
-                line_plot_svg(
-                    [(f"eps={eps!r}", xs, col) for eps, col in table.items()],
-                    title=name,
-                    xlabel="log10 n",
-                    ylabel=name,
-                ),
-            )
-        )
+        plots.append((f"plots/{name}.svg",
+                      [(f"eps={eps!r}", xs, col) for eps, col in table.items()],
+                      name, "log10 n", name))
     series = [(k, xs, v) for k, v in rep.columns.items()]
-    plots.append(
-        (
-            "plots/stats.svg",
-            line_plot_svg(series, title="per-row statistics", xlabel="log10 n", ylabel="value"),
-        )
-    )
+    plots.append(("plots/stats.svg", series, "per-row statistics", "log10 n", "value"))
     return tables, plots
 
 
@@ -344,26 +321,14 @@ def _run_verdict_general(cfg, tolerances, seed):
 def _run_psi_sweep(cfg, tolerances, seed):
     measure = _sweep_measure(cfg)
     u_grid = _parse_u_grid(cfg["u_grid"], "/u_grid")
-    rows = []
-    for u in u_grid:
-        psi = exponent_eval(measure, u)
-        rows.append([u, psi.real, psi.imag])
-    tables = [("tables/psi_sweep.csv", ["u", "re", "im"], rows)]
-    plots = [
-        (
-            "plots/psi_sweep.svg",
-            line_plot_svg(
-                [
-                    ("Re", u_grid, [r[1] for r in rows]),
-                    ("Im", u_grid, [r[2] for r in rows]),
-                ],
-                title="limit exponent",
-                xlabel="u",
-                ylabel="value",
-            ),
-        )
-    ]
-    results = {"total_mass": measure.total_mass, "points": len(rows)}
+    psi = exponent_eval(measure, u_grid)
+    re, im = psi.real.tolist(), psi.imag.tolist()
+    tables = [("tables/psi_sweep.csv", ["u", "re", "im"], list(map(list, zip(u_grid, re, im))))]
+    plots = [("plots/psi_sweep.svg", [("Re", u_grid, re), ("Im", u_grid, im)],
+              "limit exponent", "u", "value")]
+    cv = curvature_check(measure)
+    results = {"total_mass": measure.total_mass, "points": len(u_grid),
+               "curvature": {"second_difference": cv.second_difference, "target": cv.target}}
     csv_text, header_text = export_measure_csv(measure)
     extra = [("tables/measure.csv", csv_text), ("tables/measure.json", header_text)]
     return True, results, tables, plots, extra
@@ -377,25 +342,15 @@ def _run_poisson_approx(cfg, tolerances, seed):
     if not cells or min(cells) < 2:
         raise ConfigError("/mesh_cells: expected a nonempty list of integers >= 2")
     rows = []
-    last_product = None
-    target = exp_psi(measure, u_grid)
+    target = np.exp(exponent_eval(measure, u_grid))
     for count in cells:
         mesh = [-window + 2.0 * window * i / count for i in range(count + 1)]
-        product, sup_error = poisson_product_approx(measure, window, mesh)
+        last_product, sup_error = poisson_product_approx(measure, window, mesh)
         rows.append([count, sup_error(u_grid, target)])
-        last_product = product
     tables = [("tables/approx_error.csv", ["mesh_cells", "sup_error"], rows)]
-    plots = [
-        (
-            "plots/approx_error.svg",
-            line_plot_svg(
-                [("sup error", [math.log10(r[0]) for r in rows], [r[1] for r in rows])],
-                title="Poisson-type product error",
-                xlabel="log10 mesh cells",
-                ylabel="sup |exp(S) - exp(Psi)|",
-            ),
-        )
-    ]
+    plots = [("plots/approx_error.svg",
+              [("sup error", [math.log10(r[0]) for r in rows], [r[1] for r in rows])],
+              "Poisson-type product error", "log10 mesh cells", "sup |exp(S) - exp(Psi)|")]
     extra = [
         (
             "poisson_product.json",
@@ -429,12 +384,7 @@ def _run_simulate(cfg, tolerances, seed):
     series = [("ecf", xs, [r.ecf for r in results])]
     if limit.cdf is not None:
         series.insert(0, ("ks", xs, [r.ks for r in results]))
-    plots = [
-        (
-            "plots/simulate.svg",
-            line_plot_svg(series, title="distance to limit", xlabel="log10 n", ylabel="distance"),
-        )
-    ]
+    plots = [("plots/simulate.svg", series, "distance to limit", "log10 n", "distance")]
     extra = []
     if dump:
         for n, samples in kept.items():
@@ -631,8 +581,8 @@ def main(argv=None) -> int:
             tracker.write(rel, _csv_text(header, rows))
             artifacts["tables"].append(rel)
         if cfg.get("plots", True):
-            for rel, svg in plots:
-                tracker.write(rel, svg)
+            for rel, series, title, xlabel, ylabel in plots:
+                tracker.write(rel, line_plot_svg(series, title=title, xlabel=xlabel, ylabel=ylabel))
                 artifacts["plots"].append(rel)
         for rel, content in extra:
             tracker.write(rel, content)

@@ -243,7 +243,7 @@ def gaussian_verdict(
                 "use general_verdict (or poisson_verdict) for non-centered arrays"
             )
 
-    hyp = hypothesis_check(gen, n_list, eps_list, c_target=1.0, tol=tolerances.exact_stat)
+    hyp = hypothesis_check(rows, eps_list, c_target=1.0, tol=tolerances.exact_stat)
     mv, b, a = hyp.mv, hyp.b, hyp.a
 
     checks = [
@@ -279,7 +279,7 @@ def poisson_verdict(
     if lam <= 0.0:
         raise ValueError("target lambda must be positive")
     rows = [gen.row(n) for n in n_list]
-    hyp = hypothesis_check(gen, n_list, eps_list, c_target=lam, tol=tolerances.exact_stat)
+    hyp = hypothesis_check(rows, eps_list, c_target=lam, tol=tolerances.exact_stat)
     mv, bvals, avals = hyp.mv, hyp.b, hyp.a
 
     checks = [
@@ -318,7 +318,7 @@ def general_verdict(
     distance, the total-mass gap (the weak upgrade), and the drift trend."""
     n_list, eps_list = _verdict_lists(n_list, eps_list)
     rows = [gen.row(n) for n in n_list]
-    hyp = hypothesis_check(gen, n_list, eps_list, c_target=limit.total_mass, tol=tolerances.coarse_stat)
+    hyp = hypothesis_check(rows, eps_list, c_target=limit.total_mass, tol=tolerances.coarse_stat)
     measures = [build_accum(r, center=True) for r in rows]
     dists = preweak_distance(measures, limit, grid)
     avals = hyp.a

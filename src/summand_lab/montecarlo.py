@@ -233,7 +233,7 @@ def ecf_distance(samples: Sequence[float] | Tally, limit_cf: CharFn, u_grid: Seq
     if t.size == 0 or len(u_grid) == 0:
         raise ValueError("samples and u_grid must be nonempty")
     emp = exp_sums(u_grid, t.values, t.counts / t.size)
-    return max(abs(complex(e) - eval_cf(limit_cf, float(u))) for u, e in zip(u_grid, emp))
+    return float(np.max(np.abs(emp - eval_cf(limit_cf, u_grid))))
 
 
 std_normal_cdf = ndtr

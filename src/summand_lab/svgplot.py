@@ -27,16 +27,20 @@ def _label(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """lo and hi apart: a zero span is padded by 1.0 each way, and where
+    that rounds away (|lo| near 1e16 or more), by the bounds' own size."""
+    if hi - lo == 0.0:
+        lo, hi = lo - 1.0, hi + 1.0
+    if hi - lo == 0.0:
+        lo, hi = lo - abs(lo), hi + abs(hi)
+    return lo, hi
+
+
 def _bounds(series):
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 - x0 == 0.0:
-        x0, x1 = x0 - 1.0, x1 + 1.0
-    if y1 - y0 == 0.0:
-        y0, y1 = y0 - 1.0, y1 + 1.0
-    return x0, x1, y0, y1
+    return (*_span(min(xs), max(xs)), *_span(min(ys), max(ys)))
 
 
 def line_plot_svg(

@@ -182,18 +182,18 @@ def test_markov_envelope_on_centered_rows(rademacher_gen, uniform_gen):
 
 
 def test_hypothesis_check_tables(rademacher_gen, bernoulli_gen):
-    hyp = hypothesis_check(rademacher_gen, (10, 100, 1000), (0.1,), c_target=1.0)
+    hyp = hypothesis_check([rademacher_gen.row(n) for n in (10, 100, 1000)], (0.1,), c_target=1.0)
     assert hyp.u_table[0] == (1.0, 1.0, 0.0)
     assert hyp.markov_ok
     assert all(abs(v - 1.0) <= 1e-14 for v in hyp.mv)
 
-    hyp2 = hypothesis_check(bernoulli_gen, (10, 100, 1000), (0.5,), c_target=1.0)
+    hyp2 = hypothesis_check([bernoulli_gen.row(n) for n in (10, 100, 1000)], (0.5,), c_target=1.0)
     gaps = hyp2.vch_gap
     assert gaps == pytest.approx((0.1, 0.01, 0.001), abs=1e-12)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     # eps larger than every atom: U identically zero
-    hyp3 = hypothesis_check(rademacher_gen, (10, 100), (50.0,))
+    hyp3 = hypothesis_check([rademacher_gen.row(n) for n in (10, 100)], (50.0,))
     assert hyp3.u_table[0] == (0.0, 0.0)
 
 
@@ -211,11 +211,11 @@ def test_statistics_additive_under_concatenation(rademacher_gen, bernoulli_gen):
 
 def test_hypothesis_check_validation(rademacher_gen):
     with pytest.raises(ValueError):
-        hypothesis_check(rademacher_gen, (), (0.1,))
+        hypothesis_check([], (0.1,))
     with pytest.raises(ValueError):
-        hypothesis_check(rademacher_gen, (100, 10), (0.1,))
+        hypothesis_check([rademacher_gen.row(n) for n in (100, 10)], (0.1,))
     with pytest.raises(ValueError):
-        hypothesis_check(rademacher_gen, (10, 100), (-0.1,))
+        hypothesis_check([rademacher_gen.row(n) for n in (10, 100)], (-0.1,))
 
 
 def test_bernoulli_generator_bounds():

@@ -1,9 +1,12 @@
-"""Characteristic-function algebra: closed forms, roots, products, JSON."""
+"""Characteristic-function algebra: closed forms, roots, products, JSON, and the
+grid evaluation against the scalar reference in cfref."""
 
 import cmath
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,16 +24,15 @@ from summand_lab import (
     PowerCF,
     ProductCF,
     TranslatedPoissonCF,
-    conjugate_and_norm,
     eval_cf,
-    product,
     pth_root,
-    root_limit_profile,
 )
 from summand_lab.accumulation import AccumMeasure
 from summand_lab.arrays import Gaussian, Uniform
-from summand_lab.cf import from_json, to_json
+from summand_lab.cf import FAMILIES as REGISTRY, CharFn, from_json, to_json
 
+import cfref
+from cfref import conjugate_and_norm, root_limit_profile
 from grids import standard_t_grid
 
 FAMILIES = [
@@ -112,7 +114,7 @@ def test_root_round_trip(spec, p):
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
 def test_product_of_p_root_copies(spec):
     p = 3
-    prod = product([pth_root(spec, p)] * p)
+    prod = ProductCF((pth_root(spec, p),) * p)
     for t in GRID[::5]:
         assert abs(eval_cf(prod, t) - eval_cf(spec, t)) <= 1e-12
 
@@ -147,17 +149,17 @@ def test_power_evaluates_via_symbolic_root():
 
 def test_product_rules():
     # two standard normals multiply to variance-2 normal: exp(-t^2)
-    prod = product([GaussianCF(0.0, 1.0), GaussianCF(0.0, 1.0)])
+    prod = ProductCF((GaussianCF(0.0, 1.0), GaussianCF(0.0, 1.0)))
     for t in GRID[::10]:
         assert abs(eval_cf(prod, t) - cmath.exp(-t * t)) <= 1e-12
-    single = product([CauchyCF(0.7, 1.1)])
+    single = ProductCF((CauchyCF(0.7, 1.1),))
     for t in (-3.0, 0.0, 2.5):
         assert eval_cf(single, t) == eval_cf(CauchyCF(0.7, 1.1), t)
-    degs = product([Degenerate(1.2), Degenerate(-0.4)])
+    degs = ProductCF((Degenerate(1.2), Degenerate(-0.4)))
     for t in (-2.0, 1.0):
         assert abs(eval_cf(degs, t) - cmath.exp(1j * 0.8 * t)) <= 1e-15
     with pytest.raises(CharFnError):
-        product([])
+        ProductCF(())
 
 
 def test_conjugate_and_norm():
@@ -252,10 +254,10 @@ _finite = st.floats(-1e6, 1e6)
 _positive = st.floats(0.0, 1e6, exclude_min=True)
 _gaussian_cfs = st.builds(GaussianCF, _finite, st.floats(0.0, 1e6))
 _poisson_cfs = st.builds(TranslatedPoissonCF, _finite, _positive)
-_pieces = st.one_of(
-    st.builds(Gaussian, st.floats(-10.0, 10.0), st.floats(1e-6, 10.0)),
-    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-10.0, 10.0), st.floats(1e-3, 10.0)),
-)
+_gaussian_pieces = st.builds(Gaussian, st.floats(-10.0, 10.0), st.floats(1e-6, 10.0))
+_uniform_pieces = st.builds(lambda lo, width: Uniform(lo, lo + width),
+                            st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
+_pieces = st.one_of(_gaussian_pieces, _uniform_pieces)
 _measures = st.builds(
     lambda atoms, pieces: AccumMeasure(atoms=tuple(atoms), pieces=tuple(pieces)),
     st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)), max_size=6),
@@ -271,6 +273,66 @@ def test_json_round_trip_random_specs(spec):
     again = from_json(json.loads(text))
     assert again == spec
     assert json.dumps(to_json(again)) == text
+
+
+def _subclasses(cls) -> set:
+    return {c for sub in cls.__subclasses__() for c in {sub} | _subclasses(sub)}
+
+
+def test_every_family_goes_through_the_one_registry():
+    assert set(REGISTRY.values()) == _subclasses(CharFn)
+    assert {type(spec) for spec in ALL_SPECS} == _subclasses(CharFn)
+    schemas = (Path(__file__).resolve().parents[1] / "docs" / "SCHEMAS.md").read_text()
+    for spec in ALL_SPECS:
+        obj = to_json(spec)
+        assert REGISTRY[obj["family"]] is type(spec) and obj["family"] == spec.FAMILY
+        assert list(obj["params"]) == [key for key, _ in spec.PARAMS]
+        assert f"| `{spec.FAMILY}` |" in schemas
+
+
+# ---------------------------------------------------------------------------
+# The grid evaluation against the scalar reference
+# ---------------------------------------------------------------------------
+
+_weights = st.floats(1e-3, 10.0)
+_mixed_measures = st.builds(
+    lambda atoms, gauss, unif: AccumMeasure(atoms=tuple(atoms), pieces=(*gauss, *unif)),
+    st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=6),
+    st.lists(st.tuples(_weights, _gaussian_pieces), min_size=1, max_size=2),
+    st.lists(st.tuples(_weights, _uniform_pieces), min_size=1, max_size=2),
+)
+# u = 0 and |u| = 1e-8 put every atom and piece on the series side of phi2;
+# the random u up to 20 reach the direct side
+_grids = st.lists(st.floats(-20.0, 20.0), max_size=8).map(
+    lambda us: np.array([0.0, 1e-8, -1e-8, *us]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_gaussian_cfs, _poisson_cfs, _kolmogorov_cfs,
+                 st.builds(KolmogorovCF, _finite, _mixed_measures)), _grids)
+def test_log_cf_and_eval_cf_match_the_scalar_reference(spec, u):
+    logs, values = spec.log_cf(u), eval_cf(spec, u)
+    assert logs.shape == values.shape == u.shape
+    for t, log, value in zip(u.tolist(), logs.tolist(), values.tolist()):
+        ref_log = cfref.log_cf(spec, t)
+        # the size of the log, or of what the reference's Gaussian form
+        # cancels: either sets the reference's own rounding error
+        size = max(abs(ref_log), cfref.cancelled(spec.measure, t)
+                   if isinstance(spec, KolmogorovCF) else 0.0)
+        assert abs(log - ref_log) <= 1e-13 * max(1.0, size)
+        # the CF is exp of the log: an ulp of a log of size L moves it by L ulps
+        ref = cfref.eval_cf(spec, t)
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref) * size)
+        # a scalar is the 0-d case of the grid
+        assert eval_cf(spec, t) == value
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_every_family_matches_the_scalar_reference_on_the_grid(spec):
+    values = eval_cf(spec, np.array(GRID))
+    for t, value in zip(GRID, values.tolist()):
+        ref, size = cfref.eval_cf(spec, t), abs(cfref.log_cf(spec, t))
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref) * size)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ def test_psi_sweep_matches_parabola(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert report["task"] == "psi-sweep"
+    # Psi''(0) = -mass, reported on every sweep
+    assert report["results"]["curvature"] == {"second_difference": -1.0, "target": -1.0}
 
 
 def test_verdict_gaussian_passes(tmp_path):
@@ -650,6 +652,51 @@ def test_psi_sweep_uniform_from_array(tmp_path, n):
         want_re = n * quad(lambda y: math.cos(u * y) - 1.0, -h, h, epsabs=1e-12, limit=200)[0] / (2 * h)
         want_im = n * quad(lambda y: math.sin(u * y) - u * y, -h, h, epsabs=1e-12, limit=200)[0] / (2 * h)
         assert abs(complex(re, im) - complex(want_re, want_im)) <= 1e-9
+
+
+def _one_atom_sweep(u_grid, **fields):
+    return dict({"task": "psi-sweep", "u_grid": u_grid,
+                 "measure": {"kind": "explicit", "measure": {"atoms": [[0.5, 1.0]]}}}, **fields)
+
+
+@pytest.mark.parametrize("cfg,u", [
+    # Psi(1e200) of dirac_zero is -1e400 / 2, which no double holds
+    ({"task": "psi-sweep", "measure": {"kind": "dirac_zero", "mass": 1.0}, "u_grid": [0, 1e200]},
+     "1e+200"),
+    # u^2 overflows in -m u^2 phi2(iux), and no SVG is asked for
+    (_one_atom_sweep([1e300], plots=False), "1e+300"),
+])
+def test_non_finite_psi_is_refused_with_its_u(tmp_path, capsys, cfg, u):
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, "sweep.json", cfg), "--out-dir", str(out),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert f"error: Psi is not finite at u = {u}" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_one_huge_u_gets_an_axis_span_that_does_not_round_away(tmp_path):
+    # padding the single x value 1e17 by 1.0 each way rounds to a zero span
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, "sweep.json", _one_atom_sweep([1e17])),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    svg = (out / "plots" / "psi_sweep.svg").read_text()
+    assert svg.count("<polyline") == 2
+    assert "nan" not in svg and "inf" not in svg
+
+
+def test_plots_off_renders_no_svg(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered an SVG with plots off")
+
+    monkeypatch.setattr("summand_lab.cli.line_plot_svg", refuse)
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, "sweep.json",
+                                          _one_atom_sweep([1e17], plots=False)),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["artifacts"]["plots"] == []
+    assert not (out / "plots").exists()
 
 
 # ---------------------------------------------------------------------------

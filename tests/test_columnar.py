@@ -223,7 +223,7 @@ def test_statistics_and_lindeberg_sums_match_the_component_loops(row, eps_list):
             built = (RowSpec(row.n, row.components), parsed(row))
         for r in built:
             assert r.columnar == (len(row.components) >= groups)
-            hyp = hypothesis_check(ExplicitArray((r,)), [r.n], eps_list)
+            hyp = hypothesis_check([r], eps_list)
             stats = [row_statistics(r, eps) for eps in eps_list]
             gauss = [lindeberg_gaussian(r, eps) for eps in eps_list]
             pois = [lindeberg_poisson(r, eps) for eps in eps_list]

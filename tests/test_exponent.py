@@ -1,8 +1,10 @@
-"""Limit exponent: kernel, closed-form evaluation, curvature, Poisson-type products."""
+"""Limit exponent: kernel, closed-form evaluation on grids against the scalar
+reference in cfref, curvature, Poisson-type products."""
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -14,7 +16,6 @@ from summand_lab import (
     RowSpec,
     Uniform,
     build_accum,
-    compensated_kernel,
     curvature_check,
     eval_cf,
     exponent_eval,
@@ -23,7 +24,9 @@ from summand_lab import (
 )
 from summand_lab.accumulation import AccumMeasure
 from summand_lab.cf import Degenerate, GaussianCF, TranslatedPoissonCF
-from summand_lab.exponent import exp_psi
+
+import cfref
+from cfref import compensated_kernel
 
 
 def mixed_measure():
@@ -93,6 +96,19 @@ def test_scaled_dirac_one_closed_form():
     # 2 (e^i - 1 - i), frozen at 50 digits
     assert ev.real == pytest.approx(-0.9193953882637205652, abs=1e-15)
     assert ev.imag == pytest.approx(-0.31705803038420698669, abs=1e-15)
+
+
+def test_gaussian_piece_cancels_nothing_at_large_u():
+    # a centred piece gives e^{-vu^2/2} - 1; adding Re z = -vu^2/2 = -1600
+    # back to e^z - 1 - z, as the reference does, is off by about 1e-13 here
+    m = AccumMeasure(pieces=((1.0, Gaussian(0.0, 8.0)),))
+    assert exponent_eval(m, 20.0) == -1.0
+    assert eval_cf(limit_char_fn(m, 0.0), 20.0) == math.exp(-1.0)
+    assert abs(cfref.exponent_eval(m, 20.0) + 1.0) > 1e-14
+    # off centre: e^{imu - vu^2/2} - 1 - imu
+    m = AccumMeasure(pieces=((1.0, Gaussian(0.5, 8.0)),))
+    want = cmath.exp(complex(-1600.0, 10.0)) - 1.0 - 10j
+    assert abs(exponent_eval(m, 20.0) - want) <= 1e-15 * abs(want)
 
 
 def test_exponent_zero_is_exact():
@@ -185,6 +201,28 @@ def test_psi_invariants(m, u):
     assert abs(exponent_eval(m, -u) - psi.conjugate()) <= 1e-12
     # |exp Psi| = exp(Re Psi)
     assert psi.real <= 0.0
+
+
+@PROPERTY_SETTINGS
+@given(measures, st.lists(us, min_size=1, max_size=12).map(np.array))
+def test_psi_grid_invariants(m, u):
+    grid = np.concatenate(([0.0], u, -u))
+    psi = exponent_eval(m, grid)
+    assert psi.shape == grid.shape
+    assert psi[0] == 0.0
+    assert np.array_equal(psi[1 + u.size:], np.conj(psi[1:1 + u.size]))
+    assert np.all(np.abs(np.exp(psi)) <= 1.0 + 1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(measures, st.lists(st.one_of(us, st.sampled_from([0.0, 1e-8, -1e-8])), max_size=12))
+def test_psi_grid_matches_the_scalar_reference(m, u):
+    psi = exponent_eval(m, u)
+    assert psi.shape == (len(u),)
+    for t, value in zip(u, psi.tolist()):
+        ref = cfref.exponent_eval(m, t)
+        assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref), cfref.cancelled(m, t))
+        assert exponent_eval(m, t) == value
 
 
 @PROPERTY_SETTINGS
@@ -288,7 +326,7 @@ def test_sup_error_matches_per_u_product(cells):
         want = max(abs(_product_per_u(prod, u) - cmath.exp(exponent_eval(m, u))) for u in grid)
         assert sup_err(grid) == pytest.approx(want, abs=1e-12)
         # a target computed once per grid gives the same error as computing it inside
-        target = exp_psi(m, grid)
+        target = np.exp(exponent_eval(m, grid))
         assert list(target) == [cmath.exp(exponent_eval(m, u)) for u in grid]
         assert sup_err(grid, target) == sup_err(grid)
         with pytest.raises(ValueError, match="target has shape"):
