@@ -8,8 +8,6 @@ is discretized.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,9 +18,9 @@ import numpy as np
 
 from .arrays import (
     DISCRETE, GAUSSIAN, UNIFORM, ArraySpecError, ComponentDist, FiniteDiscrete, GroupTable, RowSpec,
-    columnar, component_from_json, component_key, component_to_json, json_number,
+    columnar, component_from_json, component_key, component_to_json, json_number, refuse_unknown,
 )
-from .jsontext import json_text
+from .jsontext import csv_text, json_text
 
 #: accumulation-measure atom sites closer than this are merged into one
 ATOM_MERGE = 1e-14
@@ -38,7 +36,8 @@ class AccumMeasure:
     atoms: (site, mass) pairs, sorted by site, sites merged within
         ATOM_MERGE, zero masses dropped.
     pieces: (weight, dist) pairs; each contributes weight * y^2 dF_dist(y).
-    total_mass: validated against the parts when supplied, computed otherwise.
+    total_mass: the atoms' masses plus each piece's weight times its second
+        moment.
     row_n / centered: provenance metadata when built from a row.
 
     The pieces are held both as pairs and as a GroupTable, the weights as
@@ -47,7 +46,7 @@ class AccumMeasure:
     are read. Measures are equal when these five fields are.
     """
 
-    def __init__(self, atoms=(), pieces=(), total_mass=None, row_n=None, centered=None):
+    def __init__(self, atoms=(), pieces=(), row_n=None, centered=None):
         merged = _merge_atoms(atoms)
         kept = []
         for w, d in pieces:
@@ -58,15 +57,9 @@ class AccumMeasure:
                 raise ValueError("discrete components enter as atoms, not pieces")
             if w > 0.0:
                 kept.append((w, d))
-        expected = math.fsum(m for _, m in merged) + math.fsum(
+        total_mass = math.fsum(m for _, m in merged) + math.fsum(
             w * d.second_moment() for w, d in kept
         )
-        if total_mass is None:
-            total_mass = expected
-        elif abs(total_mass - expected) > 1e-10 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"total_mass {total_mass} inconsistent with parts {expected}"
-            )
         self.pieces = tuple(kept)
         self._fill(merged, len(kept), total_mass, row_n, centered)
 
@@ -121,8 +114,8 @@ class AccumMeasure:
         return hash(self._fields())
 
     def __repr__(self):
-        return ("AccumMeasure(atoms={!r}, pieces={!r}, total_mass={!r}, row_n={!r}, "
-                "centered={!r})".format(*self._fields()))
+        return "AccumMeasure(atoms={!r}, pieces={!r}, row_n={!r}, centered={!r})".format(
+            self.atoms, self.pieces, self.row_n, self.centered)
 
     def cdf(self, x: float) -> float:
         """Mass of (-inf, x]; right-continuous at atom sites.
@@ -148,10 +141,6 @@ class AccumMeasure:
         if t.fam.size:
             acc = np.cumsum(np.concatenate(([acc], t.count * t.partial_m2(x))))[-1]
         return float(acc)
-
-    def mass_at(self, x: float) -> float:
-        """Atom mass carried by the single point {x}."""
-        return math.fsum(m for s, m in self.atoms if abs(s - x) <= ATOM_MERGE)
 
     def scaled_mass(self, factor: float) -> "AccumMeasure":
         if factor < 0.0:
@@ -285,6 +274,7 @@ def measure_from_json(obj, path: str = "") -> AccumMeasure:
     """Every malformed atom or piece is refused with its JSON pointer."""
     if not isinstance(obj, dict):
         raise ArraySpecError(f"{path or '/'}: expected an object")
+    refuse_unknown(obj, ("atoms", "pieces"), path)
     atoms = obj.get("atoms", [])
     pieces = obj.get("pieces", [])
     if not isinstance(atoms, list) or not isinstance(pieces, list):
@@ -303,6 +293,8 @@ def measure_from_json(obj, path: str = "") -> AccumMeasure:
         ppath = f"{path}/pieces/{i}"
         if not isinstance(p, dict) or "weight" not in p or "dist" not in p:
             raise ArraySpecError(f"{ppath}: expected an object with 'weight' and 'dist'")
+        if len(p) != 2:
+            refuse_unknown(p, ("weight", "dist"), ppath)
         weight = json_number(p["weight"], f"{ppath}/weight")
         if weight < 0.0:
             raise ArraySpecError(f"{ppath}/weight: negative piece weight {weight!r}")
@@ -315,10 +307,5 @@ def measure_from_json(obj, path: str = "") -> AccumMeasure:
 
 def export_measure_csv(m: AccumMeasure) -> tuple[str, str]:
     """(csv_text, json_header_text): atom table plus a total-mass header."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["site", "mass"])
-    for site, mass in m.atoms:
-        w.writerow([repr(site), repr(mass)])
     header = {"total_mass": m.total_mass, "n": m.row_n, "centered": m.centered}
-    return buf.getvalue(), json_text(header) + "\n"
+    return csv_text(("site", "mass"), m.atoms), json_text(header) + "\n"

@@ -29,6 +29,10 @@ from .normal import ndtr, ndtr_scalar, ndtri
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MAX_DOUBLE = sys.float_info.max
+#: the largest magnitude of a parsed component's site, bound or Gaussian mean,
+#: whose square bounds a Gaussian variance: partial moments take up to the
+#: fourth power of a value, which then stays below 2^1021
+_MAX_SCALE = 2.0 ** 255
 
 
 class ArraySpecError(ValueError):
@@ -54,10 +58,6 @@ class ComponentDist:
 
     def second_moment(self) -> float:
         return self.var() + self.mean() ** 2
-
-    def cf(self, t: float) -> complex:
-        """Characteristic function at t."""
-        raise NotImplementedError
 
     def prob_abs_ge(self, eps: float) -> float:
         """P(|X| >= eps)."""
@@ -124,9 +124,6 @@ class FiniteDiscrete(ComponentDist):
     def second_moment(self):
         return math.fsum(x * x * p for x, p in self.atoms)
 
-    def cf(self, t):
-        return sum(p * complex(math.cos(t * x), math.sin(t * x)) for x, p in self.atoms)
-
     def prob_abs_ge(self, eps):
         return math.fsum(p for x, p in self.atoms if abs(x) >= eps)
 
@@ -172,9 +169,6 @@ class Gaussian(ComponentDist):
 
     def var(self):
         return self.v
-
-    def cf(self, t):
-        return cexp(self.m * t, -0.5 * self.v * t * t)
 
     def prob_abs_ge(self, eps):
         sd = math.sqrt(self.v)
@@ -230,11 +224,6 @@ class Uniform(ComponentDist):
     def var(self):
         return (self.hi - self.lo) ** 2 / 12.0
 
-    def cf(self, t):
-        half = 0.5 * (self.hi - self.lo) * t
-        mid = 0.5 * (self.hi + self.lo) * t
-        return cexp(mid, 0.0) * _sinc(half)
-
     def prob_abs_ge(self, eps):
         overlap = max(0.0, min(self.hi, eps) - max(self.lo, -eps))
         return 1.0 - overlap / (self.hi - self.lo)
@@ -270,12 +259,6 @@ class Uniform(ComponentDist):
         return uniform_draws(self.lo, self.hi, rng, size)
 
 
-def cexp(imag_arg: float, real_arg: float) -> complex:
-    """exp(real_arg + i*imag_arg)."""
-    r = math.exp(real_arg)
-    return complex(r * math.cos(imag_arg), r * math.sin(imag_arg))
-
-
 #: below this |w| the direct (e^w - 1 - w) / w^2 loses more than ~1e-14
 #: relative accuracy to cancellation; there the Taylor series through w^13
 #: is exact to double rounding (the first omitted term is below 1e-17 of it)
@@ -290,7 +273,8 @@ def phi2(w) -> np.ndarray:
     The one small-argument series behind every compensated exponential:
     atoms of the limit exponent and the compensated characteristic functions
     of its pieces. Entries with |w| < _SERIES_SWITCH take the series, the
-    others the direct form.
+    others the direct form, divided by w twice: w^2 would overflow first
+    where |w| passes 1e154.
     """
     w = np.asarray(w, dtype=np.complex128)
     out = np.empty_like(w)
@@ -301,8 +285,14 @@ def phi2(w) -> np.ndarray:
         acc = acc * ws + c
     out[small] = acc
     wb = w[~small]
-    out[~small] = (np.exp(wb) - 1.0 - wb) / (wb * wb)
+    out[~small] = (np.exp(wb) - 1.0 - wb) / wb / wb
     return out
+
+
+def sinc_m1(theta: np.ndarray) -> np.ndarray:
+    """sin(theta) / theta - 1 elementwise, 0.0 at theta = 0: -theta Im
+    phi2(i theta), which does not cancel at small theta."""
+    return -theta * phi2(complex_array(0.0, theta)).imag
 
 
 def complex_array(re, im) -> np.ndarray:
@@ -368,13 +358,6 @@ def exp_sums(u_grid, x, w) -> np.ndarray:
             z *= step
         out[k] = w @ z
     return out
-
-
-def _sinc(z: float) -> float:
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return math.sin(z) / z
 
 
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -486,10 +469,10 @@ class GroupTable:
     two columns; natoms counts a row's own atoms. A padded atom adds an
     exact zero to every sum below.
 
-    Each method is the ComponentDist method of the same name, one value per
-    group in group order, equal to it to the last bit: the same operations
-    in the same order, math.fsum where the method uses it (_fsum_rows), and
-    pow and exp of the C library (_pow, _exp).
+    Each method but cf is the ComponentDist method of the same name, one
+    value per group in group order, equal to it to the last bit: the same
+    operations in the same order, math.fsum where the method uses it
+    (_fsum_rows), and pow and exp of the C library (_pow, _exp).
     """
 
     def __init__(self, fam, count, m, v, lo, hi, sites, probs, natoms):
@@ -624,6 +607,22 @@ class GroupTable:
         u = (self._uniform_partial_m2(center - eps)
              + np.maximum(self._uniform_m2_hi - self._uniform_partial_m2(center + eps), 0.0))
         return self.join(d, g, u)
+
+    def cf(self, u) -> np.ndarray:
+        """Each group's characteristic function at every u, of shape
+        u.shape + (groups,): sum p e^{iux} over a discrete group's atoms,
+        e^{imu - vu^2/2} for a Gaussian, and e^{i mid u} (1 + sinc_m1(hu))
+        for a uniform of midpoint mid and half-width h."""
+        u = np.asarray(u, dtype=np.float64)[..., None]
+        out = np.empty(u.shape[:-1] + (self.fam.size,), dtype=np.complex128)
+        angle = u[..., None] * self.sites
+        out[..., self.index[DISCRETE]] = (
+            self.probs * complex_array(np.cos(angle), np.sin(angle))).sum(axis=-1)
+        out[..., self.index[GAUSSIAN]] = np.exp(complex_array(-0.5 * self.v * u * u, self.m * u))
+        mid = self._uniform_mean * u
+        out[..., self.index[UNIFORM]] = (complex_array(np.cos(mid), np.sin(mid))
+                                         * (1.0 + sinc_m1(0.5 * (self.hi - self.lo) * u)))
+        return out
 
     @cached_property
     def centered(self) -> "GroupTable":
@@ -845,22 +844,11 @@ class HypothesisReport:
     vch_ok: bool | None
 
     def to_dict(self) -> dict:
-        d = {
-            "n_list": list(self.n_list),
-            "eps_list": list(self.eps_list),
-            "mv": list(self.mv),
-            "b": list(self.b),
-            "a": list(self.a),
-            "sup_mv": self.sup_mv,
-            "c_target": self.c_target,
-            "vch_gap": None if self.vch_gap is None else list(self.vch_gap),
-            "u_table": {repr(e): list(col) for e, col in zip(self.eps_list, self.u_table)},
-            "markov_bound": {repr(e): list(col) for e, col in zip(self.eps_list, self.markov_bound)},
-            "markov_ok": self.markov_ok,
-            "uan_final": list(self.uan_final),
-            "uan_ok": self.uan_ok,
-            "vch_ok": self.vch_ok,
-        }
+        """The fields in order, tuples as lists and the two tables keyed by
+        repr(eps)."""
+        d = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        for name in ("u_table", "markov_bound"):
+            d[name] = {repr(e): list(col) for e, col in zip(self.eps_list, d[name])}
         return d
 
 
@@ -944,16 +932,14 @@ def hypothesis_check(
 
 
 def component_to_json(d: ComponentDist) -> dict:
-    if isinstance(d, FiniteDiscrete):
-        return {"kind": "finite_discrete", "atoms": [[x, p] for x, p in d.atoms]}
-    if isinstance(d, Gaussian):
-        return {"kind": "gaussian", "mean": d.m, "var": d.v}
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "lo": d.lo, "hi": d.hi}
-    raise TypeError(f"unknown component type {type(d).__name__}")
+    key = component_key(d)
+    kind = list(_COMPONENT_FIELDS)[key[0]]
+    if key[0] == DISCRETE:
+        return {"kind": kind, "atoms": [list(a) for a in key[1]]}
+    return dict(zip(_COMPONENT_FIELDS[kind], (kind, *key[1:])))
 
 
-#: the fields of each component kind
+#: the fields of each component kind, in the order of the family codes
 _COMPONENT_FIELDS = {
     "finite_discrete": ("kind", "atoms"),
     "gaussian": ("kind", "mean", "var"),
@@ -961,9 +947,10 @@ _COMPONENT_FIELDS = {
 }
 
 
-def _refuse_unknown(obj: dict, fields: tuple, path: str) -> None:
-    """Refuse the first key of obj that is not in fields, with its pointer;
-    callers ask only when len(obj) differs from len(fields)."""
+def refuse_unknown(obj: dict, fields, path: str) -> None:
+    """Refuse the first key of obj that is not in fields, with its pointer.
+    Where every field is required, a caller may ask only when len(obj)
+    differs from len(fields)."""
     for key in obj:
         if key not in fields:
             token = key.replace("~", "~0").replace("/", "~1")
@@ -974,9 +961,9 @@ def _component_key(obj, path: str) -> tuple:
     """A component's JSON object as its key (see component_key), with every check of
     the component classes; anything malformed is refused with its pointer.
 
-    A finite float is what json_number returns, so a number that is one
-    passes with a type test and a comparison, and the pointer of a number is
-    built only when it goes through json_number.
+    A float within _MAX_SCALE (a finite one, for a probability) passes with
+    a type test and a comparison, and the pointer of a number is built only
+    when it fails them.
     """
     if not isinstance(obj, dict):
         raise ArraySpecError(f"{path or '/'}: expected an object")
@@ -987,7 +974,7 @@ def _component_key(obj, path: str) -> tuple:
     if fields is None:
         raise ArraySpecError(f"{path}/kind: unknown component kind {kind!r}")
     if len(obj) != len(fields):
-        _refuse_unknown(obj, fields, path)
+        refuse_unknown(obj, fields, path)
     if kind == "finite_discrete":
         atoms = obj.get("atoms")
         if not isinstance(atoms, list) or not atoms:
@@ -999,8 +986,9 @@ def _component_key(obj, path: str) -> tuple:
             if not isinstance(a, list) or len(a) != 2:
                 raise ArraySpecError(f"{path}/atoms/{i}: expected [site, prob]")
             site, prob = a
-            if type(site) is not float or not abs(site) <= _MAX_DOUBLE:
-                site = json_number(site, f"{path}/atoms/{i}/0")
+            if type(site) is not float or not abs(site) <= _MAX_SCALE:
+                pointer = f"{path}/atoms/{i}/0"
+                site = _bounded(json_number(site, pointer), pointer, _MAX_SCALE)
             if type(prob) is not float or not abs(prob) <= _MAX_DOUBLE:
                 prob = json_number(prob, f"{path}/atoms/{i}/1")
             if prob < 0.0 and negative is None:
@@ -1016,10 +1004,11 @@ def _component_key(obj, path: str) -> tuple:
         return (DISCRETE, tuple(pairs))
     first, second = fields[1], fields[2]
     x, y = obj.get(first), obj.get(second)
-    if type(x) is not float or not abs(x) <= _MAX_DOUBLE:
-        x = _req_num(obj, first, path)
-    if type(y) is not float or not abs(y) <= _MAX_DOUBLE:
-        y = _req_num(obj, second, path)
+    if type(x) is not float or not abs(x) <= _MAX_SCALE:
+        x = _bounded(_req_num(obj, first, path), f"{path}/{first}", _MAX_SCALE)
+    y_max = _MAX_SCALE * _MAX_SCALE if kind == "gaussian" else _MAX_SCALE
+    if type(y) is not float or not abs(y) <= y_max:
+        y = _bounded(_req_num(obj, second, path), f"{path}/{second}", y_max)
     if kind == "gaussian":
         if not y > 0.0:
             raise ArraySpecError(
@@ -1028,6 +1017,14 @@ def _component_key(obj, path: str) -> tuple:
     if not x < y:
         raise ArraySpecError(f"{path}: Uniform needs lo < hi, got ({x}, {y})")
     return (UNIFORM, x, y)
+
+
+def _bounded(x: float, pointer: str, bound: float) -> float:
+    """x, refused with its pointer where its magnitude passes bound."""
+    if not abs(x) <= bound:
+        raise ArraySpecError(f"{pointer}: |{x!r}| exceeds {bound!r}; the moments of the "
+                             "component would not fit in a double")
+    return x
 
 
 def component_from_json(obj, path: str = "") -> ComponentDist:
@@ -1088,7 +1085,7 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
         raise ArraySpecError(f"{path}/generator: missing required field")
     if name == "standardized_iid":
         if len(obj) != 2:
-            _refuse_unknown(obj, ("generator", "base"), path)
+            refuse_unknown(obj, ("generator", "base"), path)
         if "base" not in obj:
             raise ArraySpecError(f"{path}/base: missing required field")
         base = component_from_json(obj["base"], f"{path}/base")
@@ -1098,7 +1095,7 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
             raise ArraySpecError(f"{path}/base: {exc}") from exc
     if name == "bernoulli_poisson":
         if len(obj) != 2:
-            _refuse_unknown(obj, ("generator", "lambda"), path)
+            refuse_unknown(obj, ("generator", "lambda"), path)
         lam = _req_num(obj, "lambda", path)
         try:
             return BernoulliPoisson(lam)
@@ -1106,7 +1103,7 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
             raise ArraySpecError(f"{path}/lambda: {exc}") from exc
     if name == "explicit":
         if len(obj) != 2:
-            _refuse_unknown(obj, ("generator", "rows"), path)
+            refuse_unknown(obj, ("generator", "rows"), path)
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise ArraySpecError(f"{path}/rows: expected a nonempty list")
@@ -1117,7 +1114,7 @@ def generator_from_json(obj, path: str = "") -> ArrayGenerator:
             if not isinstance(robj, dict) or "n" not in robj or "components" not in robj:
                 raise ArraySpecError(f"{rpath}: expected an object with 'n' and 'components'")
             if len(robj) != 2:
-                _refuse_unknown(robj, ("n", "components"), rpath)
+                refuse_unknown(robj, ("n", "components"), rpath)
             n = json_number(robj["n"], f"{rpath}/n", integer=True)
             if n in seen:
                 raise ArraySpecError(f"{rpath}/n: row n={n} repeats an earlier row")

@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .accumulation import AccumMeasure, measure_from_json, measure_to_json
-from .arrays import ArraySpecError, complex_array, exp_sums, json_number
+from .arrays import ArraySpecError, complex_array, exp_sums, json_number, refuse_unknown
 
 
 class CharFnError(ValueError):
@@ -206,13 +206,15 @@ class PoissonTypeProduct(CharFn):
 
     @classmethod
     def from_params(cls, params, pointer):
-        return cls(tuple(
-            PoissonTypeTerm(
-                *(_param(t, k, f"{pointer}/terms/{i}") for k in ("drift", "intensity", "site")),
-                _param(t, "shift", f"{pointer}/terms/{i}", default=0.0),
-            )
-            for i, t in enumerate(params["terms"])
-        ))
+        return cls(tuple(_term(t, f"{pointer}/terms/{i}") for i, t in enumerate(params["terms"])))
+
+
+def _term(obj, pointer: str) -> PoissonTypeTerm:
+    """A term's JSON object, whose keys are the term's fields; shift may be
+    left out."""
+    values = [_param(obj, k, pointer) for k in ("drift", "intensity", "site")]
+    refuse_unknown(obj, PoissonTypeTerm.__dataclass_fields__, pointer)
+    return PoissonTypeTerm(*values, _param(obj, "shift", pointer, default=0.0))
 
 
 @dataclass(frozen=True)
@@ -373,6 +375,8 @@ def _param(obj: dict, key: str, pointer: str, default: float | None = None, inte
 def from_json(obj, path: str = "") -> CharFn:
     if not isinstance(obj, dict):
         raise CharFnError(f"{path or '/'}: expected an object")
+    if len(obj) != 2:
+        refuse_unknown(obj, ("family", "params"), path)
     family = obj.get("family")
     if family is None:
         raise CharFnError(f"{path}/family: missing required field")
@@ -383,6 +387,7 @@ def from_json(obj, path: str = "") -> CharFn:
     if cls is None:
         raise CharFnError(f"{path}/family: unknown family {family!r}")
     pp = f"{path}/params"
+    refuse_unknown(params, [key for key, _ in cls.PARAMS], pp)
     try:
         return cls.from_params(params, pp)
     except KeyError as exc:

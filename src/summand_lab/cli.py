@@ -10,9 +10,7 @@ geometry.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 from json.encoder import encode_basestring_ascii
 # argparse's gettext imports locale in the first ArgumentParser(); loaded here,
@@ -27,12 +25,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .accumulation import AccumMeasure, build_accum, export_measure_csv, measure_from_json
-from .arrays import ArraySpecError, check_lists, generator_from_json, hypothesis_check, json_number
+from .arrays import (
+    ArraySpecError, check_lists, generator_from_json, hypothesis_check, json_number, refuse_unknown,
+)
 from .cf import CharFnError, from_json as cf_from_json, to_json as cf_to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .criteria import VerdictReport, gaussian_verdict, general_verdict, poisson_verdict
 from .exponent import curvature_check, exponent_eval, poisson_product_approx
-from .jsontext import Verbatim, json_text
+from .jsontext import Verbatim, csv_text, json_text
 from .montecarlo import (
     SimulationPlan,
     cf_only_limit,
@@ -124,6 +124,7 @@ def _parse_u_grid(obj, pointer: str) -> tuple[float, ...]:
             raise ConfigError(f"{pointer}: must be nonempty")
         return tuple(_numbers(obj, pointer))
     if isinstance(obj, dict):
+        refuse_unknown(obj, ("start", "stop", "step"), pointer)
         try:
             start, stop, step = (
                 json_number(obj[k], f"{pointer}/{k}") for k in ("start", "stop", "step")
@@ -143,10 +144,7 @@ def _parse_tolerances(cfg) -> ToleranceConfig:
         return DEFAULT_TOLERANCES
     if not isinstance(overrides, dict):
         raise ConfigError("/tolerances: expected an object")
-    allowed = set(ToleranceConfig.__dataclass_fields__)
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise ConfigError(f"/tolerances: unknown fields {sorted(unknown)}")
+    refuse_unknown(overrides, ToleranceConfig.__dataclass_fields__, "/tolerances")
     return dataclasses.replace(
         DEFAULT_TOLERANCES,
         **{k: json_number(v, f"/tolerances/{k}") for k, v in overrides.items()},
@@ -164,12 +162,14 @@ def _parse_measure(obj, pointer: str) -> AccumMeasure:
         raise ConfigError(f"{pointer}: expected an object")
     kind = obj.get("kind")
     if kind == "explicit":
+        refuse_unknown(obj, ("kind", "measure"), pointer)
         if "measure" not in obj:
             raise ConfigError(f"{pointer}/measure: missing required field")
         return measure_from_json(obj["measure"], f"{pointer}/measure")
     if kind not in _ONE_ATOM:
         raise ConfigError(f"{pointer}/kind: expected dirac_zero | scaled_dirac_one | explicit")
     site, field = _ONE_ATOM[kind]
+    refuse_unknown(obj, ("kind", field), pointer)
     mass = json_number(obj.get(field, 1.0), f"{pointer}/{field}")
     if not mass > 0.0:
         raise ConfigError(f"{pointer}/{field}: must be positive, got {mass!r}")
@@ -182,6 +182,7 @@ def _sweep_measure(cfg) -> AccumMeasure:
     obj = cfg["measure"]
     if not (isinstance(obj, dict) and obj.get("kind") == "from_array"):
         return _parse_measure(obj, "/measure")
+    refuse_unknown(obj, ("kind", "n", "centered"), "/measure")
     gen = generator_from_json(cfg["array"], "/array")
     n = json_number(obj.get("n"), "/measure/n", integer=True)
     if n < 1:
@@ -194,13 +195,16 @@ def _parse_sim_limit(obj, pointer: str):
         raise ConfigError(f"{pointer}: expected an object")
     kind = obj.get("kind")
     if kind == "std_gaussian":
+        refuse_unknown(obj, ("kind",), pointer)
         return std_gaussian_limit()
     if kind == "translated_poisson":
+        refuse_unknown(obj, ("kind", "b", "lambda"), pointer)
         return translated_poisson_limit(
             json_number(obj.get("b", 0.0), f"{pointer}/b"),
             json_number(obj.get("lambda", 1.0), f"{pointer}/lambda"),
         )
     if kind == "cf":
+        refuse_unknown(obj, ("kind", "spec"), pointer)
         if "spec" not in obj:
             raise ConfigError(f"{pointer}/spec: missing required field")
         return cf_only_limit(cf_from_json(obj["spec"], f"{pointer}/spec"))
@@ -293,6 +297,8 @@ def _run_verdict_poisson(cfg, tolerances, seed):
     target = cfg["target"]
     if not isinstance(target, dict) or "b" not in target or "lambda" not in target:
         raise ConfigError("/target: expected an object with 'b' and 'lambda'")
+    if len(target) != 2:
+        refuse_unknown(target, ("b", "lambda"), "/target")
     b, lam = (json_number(target[k], f"/target/{k}") for k in ("b", "lambda"))
     rep = poisson_verdict(gen, cfg["n_list"], cfg["eps_list"], (b, lam), tolerances)
     tables, plots = _verdict_tables(rep)
@@ -311,10 +317,8 @@ def _run_verdict_general(cfg, tolerances, seed):
         eps_list=[float(e) for e in cfg.get("eps_list", [0.5])],
     )
     tables, plots = _verdict_tables(rep)
-    extra = []
-    csv_text, header_text = export_measure_csv(rep.accum_measure)
-    extra.append(("tables/accum_measure.csv", csv_text))
-    extra.append(("tables/accum_measure.json", header_text))
+    measure_csv, header = export_measure_csv(rep.accum_measure)
+    extra = [("tables/accum_measure.csv", measure_csv), ("tables/accum_measure.json", header)]
     return rep.passed, {"verdict": rep.to_dict(), "summary_text": rep.to_text()}, tables, plots, extra
 
 
@@ -329,8 +333,8 @@ def _run_psi_sweep(cfg, tolerances, seed):
     cv = curvature_check(measure)
     results = {"total_mass": measure.total_mass, "points": len(u_grid),
                "curvature": {"second_difference": cv.second_difference, "target": cv.target}}
-    csv_text, header_text = export_measure_csv(measure)
-    extra = [("tables/measure.csv", csv_text), ("tables/measure.json", header_text)]
+    measure_csv, header = export_measure_csv(measure)
+    extra = [("tables/measure.csv", measure_csv), ("tables/measure.json", header)]
     return True, results, tables, plots, extra
 
 
@@ -385,15 +389,9 @@ def _run_simulate(cfg, tolerances, seed):
     if limit.cdf is not None:
         series.insert(0, ("ks", xs, [r.ks for r in results]))
     plots = [("plots/simulate.svg", series, "distance to limit", "log10 n", "distance")]
-    extra = []
-    if dump:
-        for n, samples in kept.items():
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            w.writerow(["sample"])
-            for x in samples:
-                w.writerow([repr(float(x))])
-            extra.append((f"tables/samples_{n}.csv", buf.getvalue()))
+    # report.json lists the sample dumps under "extra"
+    extra = [(f"tables/samples_{n}.csv", csv_text(("sample",), zip(samples.tolist())))
+             for n, samples in kept.items()]
 
     passed = True
     if ks_threshold is not None and limit.cdf is not None:
@@ -475,15 +473,6 @@ class _OutputTracker:
                 d.rmdir()
             except OSError:
                 pass
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +567,7 @@ def main(argv=None) -> int:
         summary_text = results.pop("summary_text", None)
         artifacts = {"tables": [], "plots": [], "extra": []}
         for rel, header, rows in tables:
-            tracker.write(rel, _csv_text(header, rows))
+            tracker.write(rel, csv_text(header, rows))
             artifacts["tables"].append(rel)
         if cfg.get("plots", True):
             for rel, series, title, xlabel, ylabel in plots:

@@ -11,7 +11,6 @@ Both facts are recorded separately so failures are attributable.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -78,24 +77,29 @@ def lindeberg_poisson(row: RowSpec, eps: float) -> float:
     return total
 
 
-def comparison_residual(row: RowSpec, u: float, c_bound: float) -> tuple[float, float]:
-    """|sum_k [Log f_k(u) - (f_k(u) - 1)]| and the envelope c u^4 B_n / 4.
+def comparison_residual(row: RowSpec, u, c_bound: float):
+    """|sum_k [Log f_k(u) - (f_k(u) - 1)]| and the envelope c u^4 B_n / 4, at
+    a scalar u or at every point of an array u, each in u's shape.
 
-    Principal logarithm; requires max_k |f_k(u) - 1| < 1. The envelope is the
+    Principal logarithm, of GroupTable.cf; requires max_k |f_k(u) - 1| < 1,
+    and names the first group and u where it fails. The envelope is the
     centered-row regime: feed rows of mean-zero components (RowSpec.centered()).
     """
-    acc = 0.0 + 0.0j
-    b = 0.0
-    for i, (d, count) in enumerate(row.components):
-        f = d.cf(u)
-        if abs(f - 1.0) >= 1.0:
-            raise ComparisonRegimeError(
-                f"component {i} ({count} x {d!r}) has |f(u) - 1| = {abs(f - 1.0):.6g} >= 1 at u = {u}"
-            )
-        acc += count * (cmath.log(f) - (f - 1.0))
-        b = max(b, d.var())
-    bound = c_bound * u ** 4 * b / 4.0
-    return abs(acc), bound
+    u = np.asarray(u, dtype=np.float64)
+    t = row.table
+    f = t.cf(u)
+    gap = np.abs(f - 1.0).reshape(-1, t.fam.size)
+    bad = np.argwhere(gap >= 1.0)  # in order of u, then of group
+    if bad.size:
+        j, i = bad[0].tolist()
+        d, count = row.components[i]
+        raise ComparisonRegimeError(
+            f"component {i} ({count} x {d!r}) has |f(u) - 1| = {gap[j, i]:.6g} >= 1 "
+            f"at u = {float(u.flat[j])!r}"
+        )
+    residual = np.abs((t.count * (np.log(f) - (f - 1.0))).sum(axis=-1))
+    b = max(0.0, float(t.moments[1].max()))
+    return residual[()], (c_bound * u ** 4 * b / 4.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +121,7 @@ class TrendCheck:
         return self.final_ok and self.monotone_ok
 
     def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "label": self.label,
-            "values": list(self.values),
-            "tol": self.tol,
-            "final_ok": self.final_ok,
-            "monotone_ok": self.monotone_ok,
-            "passed": self.passed,
-        }
+        return dict(vars(self), values=list(self.values), passed=self.passed)
 
 
 def _trend(code: str, label: str, values: Sequence[float], tol: float) -> TrendCheck:

@@ -1,4 +1,4 @@
-"""The one JSON writer behind every artifact.
+"""The one JSON writer and the one CSV writer behind every artifact.
 
 ``json_text(obj)`` is ``json.dumps(obj, indent=2, allow_nan=False)`` byte
 for byte. With ``indent`` set the stdlib falls back to a pure-Python encoder
@@ -6,10 +6,15 @@ that yields every token through nested generators; this one appends to a
 single list, escapes strings with the stdlib's C ``encode_basestring_ascii``
 and writes a list of finite floats with one ``join``. A ``Verbatim`` string
 is JSON text already and goes in as it stands.
+
+``csv_text(header, rows)`` writes a table through the stdlib's ``csv``
+module, which writes a float as its repr.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from json.encoder import encode_basestring_ascii as _quote
 
 _float_repr = float.__repr__
@@ -36,6 +41,17 @@ def json_text(obj) -> str:
     out: list[str] = []
     _encode(obj, out, "\n")
     return "".join(out)
+
+
+def csv_text(header, rows) -> str:
+    """A header and rows as CSV lines, each ended by a line feed: a float as
+    its repr (pass Python floats: numpy's float64 writes as np.float64(...)),
+    None as an empty field, anything else as str gives it."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _float_text(x: float) -> str:

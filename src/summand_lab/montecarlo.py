@@ -16,6 +16,7 @@ from pmfs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -91,18 +92,16 @@ def _group_sums(family: int, params, copies: int, rng: Generator, size: int) -> 
     return total
 
 
-def sample_sums_chunked(
-    row: RowSpec, count: int, seed: int, base_stream: int = 0, chunk: int = SUBSTREAM_CHUNK
-) -> np.ndarray:
+def sample_sums_chunked(row: RowSpec, count: int, seed: int, base_stream: int = 0) -> np.ndarray:
     """Same law as sample_sums, split over logical substreams.
 
-    Chunk j uses stream base_stream + j and fills a fixed slice of the output,
-    so chunks may run in any order (or on any number of workers) and the merge
-    is still byte-identical.
+    Chunk j, of SUBSTREAM_CHUNK samples, uses stream base_stream + j and
+    fills a fixed slice of the output, so chunks may run in any order (or on
+    any number of workers) and the merge is still byte-identical.
     """
     out = np.empty(count, dtype=np.float64)
-    for j, start in enumerate(range(0, count, chunk)):
-        m = min(chunk, count - start)
+    for j, start in enumerate(range(0, count, SUBSTREAM_CHUNK)):
+        m = min(SUBSTREAM_CHUNK, count - start)
         out[start:start + m] = sample_sums(row, m, seed, base_stream + j)
     return out
 
@@ -240,7 +239,8 @@ std_normal_cdf = ndtr
 
 
 def translated_poisson_cdf(b: float, lam: float) -> Callable:
-    """CDF of b + Poisson(lam); pmf by the stable upward recursion.
+    """CDF of b + Poisson(lam): running sums of _poisson_pmf up to the
+    largest k asked for, and 0.0 below the first k of the pmf.
 
     The jumps sit at the doubles b + k as floating point computes them, so
     F(x) is the mass of the k with b + k <= x. floor(x - b) alone can miss
@@ -258,13 +258,9 @@ def translated_poisson_cdf(b: float, lam: float) -> Callable:
         kmax = int(np.max(k)) if x.size else -1
         if kmax < 0:
             return np.zeros_like(x)
-        pmf = np.empty(kmax + 1)
-        pmf[0] = math.exp(-lam)
-        for j in range(kmax):
-            pmf[j + 1] = pmf[j] * lam / (j + 1)
+        first, pmf = _poisson_pmf(lam, kmax)
         cum = np.concatenate(([0.0], np.cumsum(pmf)))
-        idx = np.clip(k.astype(np.int64) + 1, 0, kmax + 1)
-        return cum[idx]
+        return cum[np.clip(k.astype(np.int64) + 1 - first, 0, pmf.size)]
 
     return cdf
 
@@ -310,27 +306,38 @@ def _bd0(x: float, m: float) -> float:
 
 
 def _pmf_from_mode(mode: int, log_pmf: float, up: Callable, down: Callable, last: float) -> tuple:
-    """(first k, pmf from there on) of a unimodal pmf supported on 0..last.
+    """(first k, pmf from there on) of a unimodal pmf on 0..last.
 
-    Starts at the mode from its log and recurses outward with the ratios
-    up(k) = p(k+1)/p(k) and down(k) = p(k-1)/p(k); each side stops at the
-    end of the support or where the term underflows to 0.0, beyond which
-    every term is 0.0 as well.
+    Starts at the mode, or at last where that lies below it, from its log and
+    recurses outward with the ratios up(k) = p(k+1)/p(k) and down(k) =
+    p(k-1)/p(k); each side stops at last or 0 or past the first term below
+    the smallest normal double (the rest add up to less than 6e-306 for a
+    Poisson pmf at lam = 1e8). Waiting for 0.0 would walk about lam terms,
+    not sqrt(lam): a subnormal times a ratio near 1 rounds back to itself.
     """
     pk = math.exp(log_pmf)
     left = []
     k, q = mode, pk
-    while k > 0 and q > 0.0:
+    while k > 0 and q >= sys.float_info.min:
         q *= down(k)
         k -= 1
         left.append(q)
     right = [pk]
     k, q = mode, pk
-    while k < last and q > 0.0:
+    while k < last and q >= sys.float_info.min:
         q *= up(k)
         k += 1
         right.append(q)
     return mode - len(left), np.array(left[::-1] + right)
+
+
+def _poisson_pmf(lam: float, last: float = math.inf) -> tuple:
+    """(first k, pmf from there on) of Poisson(lam) on k <= last by
+    _pmf_from_mode, in saddle-point form (Loader 2000): no e^{-lam}, which
+    underflows for lam above about 745."""
+    k = min(math.floor(lam), last)
+    log_q = -lam if k == 0 else -_stirlerr(k) - _bd0(k, lam) - 0.5 * math.log(k) - _LOG_SQRT_2PI
+    return _pmf_from_mode(k, log_q, lambda j: lam / (j + 1.0), lambda j: j / lam, last)
 
 
 def tv_binomial_poisson(n: int, p: float, lam: float) -> float:
@@ -356,9 +363,7 @@ def tv_binomial_poisson(n: int, p: float, lam: float) -> float:
     odds = p / (1.0 - p)
     b0, b = _pmf_from_mode(mb, log_b, lambda k: (n - k) / (k + 1.0) * odds,
                            lambda k: k / (n - k + 1.0) / odds, n)
-    mq = math.floor(lam)
-    log_q = -lam if mq == 0 else -_stirlerr(mq) - _bd0(mq, lam) - 0.5 * math.log(mq) - _LOG_SQRT_2PI
-    q0, q = _pmf_from_mode(mq, log_q, lambda k: lam / (k + 1.0), lambda k: k / lam, math.inf)
+    q0, q = _poisson_pmf(lam)
     # both on k = lo..hi, where hi <= n ends the later window; 0.0 outside
     lo, hi = min(b0, q0), min(n, max(b0 + b.size, q0 + q.size) - 1)
     diff = np.zeros(hi + 1 - lo)

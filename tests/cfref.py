@@ -1,20 +1,22 @@
 """Scalar references for the characteristic functions and the limit exponent.
 
 The package evaluates every family on a whole u-grid (``log_cf``,
-``exponent.exponent_eval``). These are the forms it evaluated one u at a
-time before, kept as the reference the grid code is tested against: a chain
-over the families for the characteristic function and its exponent, and Psi
-as a sum over the atoms of the compensated kernel and over the pieces of
+``exponent.exponent_eval``, ``GroupTable.cf``). These are the forms it
+evaluated one u at a time before, kept as the reference the grid code is
+tested against: a chain over the families for the characteristic function
+and its exponent, the characteristic function of each component family, and
+Psi as a sum over the atoms of the compensated kernel and over the pieces of
 their compensated characteristic functions. ``conjugate_and_norm`` and
 ``root_limit_profile`` are helpers that only the tests use.
 """
 
 import cmath
+import math
 
 import numpy as np
 
 from summand_lab import cf
-from summand_lab.arrays import _PHI2_COEFFS, _SERIES_SWITCH, Gaussian, Uniform, cexp
+from summand_lab.arrays import _PHI2_COEFFS, _SERIES_SWITCH, FiniteDiscrete, Gaussian, Uniform
 from summand_lab.cf import (
     CauchyCF,
     ConjugateCF,
@@ -28,6 +30,31 @@ from summand_lab.cf import (
     TranslatedPoissonCF,
     pth_root,
 )
+
+
+def cexp(imag_arg: float, real_arg: float) -> complex:
+    """exp(real_arg + i*imag_arg)."""
+    r = math.exp(real_arg)
+    return complex(r * math.cos(imag_arg), r * math.sin(imag_arg))
+
+
+def _sinc(z: float) -> float:
+    if abs(z) < 1e-4:
+        z2 = z * z
+        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    return math.sin(z) / z
+
+
+def component_cf(d, t: float) -> complex:
+    """The characteristic function of a component at t."""
+    if isinstance(d, FiniteDiscrete):
+        return sum(p * complex(math.cos(t * x), math.sin(t * x)) for x, p in d.atoms)
+    if isinstance(d, Gaussian):
+        return cexp(d.m * t, -0.5 * d.v * t * t)
+    assert isinstance(d, Uniform)
+    half = 0.5 * (d.hi - d.lo) * t
+    mid = 0.5 * (d.hi + d.lo) * t
+    return cexp(mid, 0.0) * _sinc(half)
 
 
 def phi2(w: complex) -> complex:

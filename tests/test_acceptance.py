@@ -212,7 +212,7 @@ def test_c08_curvature_identity():
     }
     worst = 0.0
     for name, m in measures.items():
-        cv = curvature_check(m, 1e-4)
+        cv = curvature_check(m)
         rel = abs(cv.second_difference - cv.target) / abs(cv.target)
         worst = max(worst, rel)
     _report("C8 curvature identity", worst <= 1e-4, f"worst relative error {worst:.2e} (tol 1e-4)")

@@ -20,8 +20,8 @@ sys.path.insert(0, str(BENCH))
 
 from benchlib import workloads  # noqa: E402
 
-#: the workloads whose ops go through the row, statistics and report paths
-NAMES = ("verdict-iid", "explicit-rows")
+#: every workload, so every bench config goes through the parsers, traced and untraced
+NAMES = tuple(workloads.WORKLOADS)
 
 
 def _files(out: Path) -> dict:

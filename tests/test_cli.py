@@ -356,6 +356,62 @@ REFUSED = {
         {"task": "poisson-approx", "measure": {"kind": "scaled_dirac_one"}, "window": 1.5,
          "mesh_cells": [4], "u_grid": [0.5], "array": {"generator": "warp"}},
         "/array: read only when /measure/kind is 'from_array'"),
+    # every other object names its fields too
+    "unknown-piece-field": (
+        _sweep({"kind": "explicit", "measure": {"pieces": [
+            {"weight": 1.0, "wieght": 1.0, "dist": {"kind": "uniform", "lo": -1.0, "hi": 1.0}}]}}),
+        "/measure/measure/pieces/0/wieght: unknown field"),
+    "unknown-measure-field": (
+        _sweep({"kind": "explicit", "measure": {"atoms": [[1.0, 1.0]], "peices": []}}),
+        "/measure/measure/peices: unknown field"),
+    "unknown-measure-kind-field": (
+        _sweep({"kind": "explicit", "measure": {"atoms": [[1.0, 1.0]]}, "bogus": 1}),
+        "/measure/bogus: unknown field"),
+    "unknown-from-array-field": (
+        _sweep({"kind": "from_array", "n": 16, "centred": False}) | {"array": RADEMACHER_ARRAY},
+        "/measure/centred: unknown field"),
+    "unknown-limit-field": ({"task": "verdict-general", "array": RADEMACHER_ARRAY, "n_list": [10],
+                             "limit": {"kind": "dirac_zero", "mass": 1.0, "lambda": 1.0},
+                             "grid": [0.5]},
+                            "/limit/lambda: unknown field"),
+    "unknown-sim-limit-field": (_simulate({"kind": "std_gaussian", "var": 2.0}),
+                                "/limit/var: unknown field"),
+    "unknown-poisson-limit-field": (
+        _simulate({"kind": "translated_poisson", "b": 0.0, "lamda": 2.0}),
+        "/limit/lamda: unknown field"),
+    "unknown-cf-param": (
+        _simulate({"kind": "cf", "spec": {"family": "gaussian",
+                                          "params": {"m": 0.0, "var": 1.0, "sigma": 1.0}}}),
+        "/limit/spec/params/sigma: unknown field"),
+    "unknown-cf-field": (
+        _simulate({"kind": "cf", "spec": {"family": "gaussian", "params": {"m": 0.0, "var": 1.0},
+                                          "extra": 1}}),
+        "/limit/spec/extra: unknown field"),
+    "unknown-cf-term-field": (
+        _simulate({"kind": "cf", "spec": {"family": "poisson_type_product", "params": {
+            "terms": [{"drift": 0.0, "intensity": 1.0, "site": 1.0, "shfit": 0.0}]}}}),
+        "/limit/spec/params/terms/0/shfit: unknown field"),
+    "unknown-target-field": ({"task": "verdict-poisson", "array": RADEMACHER_ARRAY, "n_list": [10],
+                              "eps_list": [0.5], "target": {"b": 0.0, "lambda": 1.0, "lamda": 1.0}},
+                             "/target/lamda: unknown field"),
+    "unknown-u-grid-field": (
+        _sweep({"kind": "dirac_zero"}) | {"u_grid": {"start": 0.0, "stop": 1.0, "step": 0.5,
+                                                      "num": 3}},
+        "/u_grid/num: unknown field"),
+    "unknown-tolerance": (_sweep({"kind": "dirac_zero"}) | {"tolerances": {"exact": 0.1}},
+                          "/tolerances/exact: unknown field"),
+    # a component whose moments do not fit in a double
+    "uniform-moment-overflow": (
+        _hypotheses(array={"generator": "standardized_iid",
+                           "base": {"kind": "uniform", "lo": -1e200, "hi": 1e200}}),
+        "/array/base/lo: |-1e+200| exceeds"),
+    "discrete-moment-overflow": (
+        _row_components([{"kind": "finite_discrete", "atoms": [[-1e200, 0.5], [1e200, 0.5]]}]),
+        "/array/rows/0/components/0/atoms/0/0: |-1e+200| exceeds"),
+    "gaussian-moment-overflow": (
+        _row_components([{"kind": "gaussian", "mean": 0.0, "var": 1.0},
+                         {"kind": "gaussian", "mean": 1e200, "var": 1.0}]),
+        "/array/rows/0/components/1/mean: |1e+200| exceeds"),
     "string-cf-term": (
         _simulate({"kind": "cf", "spec": {"family": "poisson_type_product", "params": {
             "terms": [{"drift": 0.0, "intensity": True, "site": 1.0}]}}}),
@@ -663,8 +719,6 @@ def _one_atom_sweep(u_grid, **fields):
     # Psi(1e200) of dirac_zero is -1e400 / 2, which no double holds
     ({"task": "psi-sweep", "measure": {"kind": "dirac_zero", "mass": 1.0}, "u_grid": [0, 1e200]},
      "1e+200"),
-    # u^2 overflows in -m u^2 phi2(iux), and no SVG is asked for
-    (_one_atom_sweep([1e300], plots=False), "1e+300"),
 ])
 def test_non_finite_psi_is_refused_with_its_u(tmp_path, capsys, cfg, u):
     out = tmp_path / "out"
@@ -674,6 +728,20 @@ def test_non_finite_psi_is_refused_with_its_u(tmp_path, capsys, cfg, u):
     assert f"error: Psi is not finite at u = {u}" in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_psi_of_one_atom_stays_finite_at_a_huge_u(tmp_path):
+    # (e^{iux} - 1 - iux) / x^2 at x = 0.5, u = 1e300 is about -2e300 i, while
+    # u^2 overflows: the atom kernel divides by x last
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, "sweep.json",
+                                          _one_atom_sweep([1e300], plots=False)),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    (line,) = (out / "tables" / "psi_sweep.csv").read_text().splitlines()[1:]
+    u, re, im = (float(v) for v in line.split(","))
+    assert u == 1e300
+    assert -8.0 <= re <= 0.0
+    assert im == pytest.approx(-2e300, rel=1e-15)
 
 
 def test_one_huge_u_gets_an_axis_span_that_does_not_round_away(tmp_path):

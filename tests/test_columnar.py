@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cfref
+
 from summand_lab import (
     AccumMeasure,
     ExplicitArray,
@@ -254,6 +256,21 @@ def test_accumulation_measure_and_cdf_match_the_component_loops(row, center, xs)
         assert (m.row_n, m.centered) == (row.n, center)
         assert m == ref
         assert all(same(g, ref_cdf(ref, x)) for g, x in zip(got, xs))
+
+
+us = st.one_of(st.sampled_from([0.0, 1e-8, -1e-8, 20.0, -20.0]),
+               st.floats(-20.0, 20.0, allow_nan=False))
+
+
+@COLUMNAR
+@given(rows(), st.lists(us, min_size=1, max_size=4))
+def test_group_cf_matches_the_scalar_reference(row, u):
+    got = row.table.cf(np.array(u))
+    assert got.shape == (len(u), len(row.components))
+    for j, t in enumerate(u):
+        for i, (d, _) in enumerate(row.components):
+            ref = cfref.component_cf(d, t)
+            assert abs(got[j, i] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 @COLUMNAR

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from summand_lab import (
@@ -10,6 +11,7 @@ from summand_lab import (
     ComparisonRegimeError,
     ExplicitArray,
     FiniteDiscrete,
+    Gaussian,
     NonCenteredRowError,
     RowSpec,
     build_accum,
@@ -21,6 +23,7 @@ from summand_lab import (
     lindeberg_poisson,
     poisson_verdict,
     row_statistics,
+    Uniform,
 )
 
 
@@ -113,6 +116,22 @@ def test_comparison_residual_quartic_order():
     # Log(1+w) - w ~ -w^2/2 with w = cos(u sqrt(v)) - 1 ~ -u^2 v / 2
     assert res == pytest.approx(u ** 4 * v * v / 8.0, rel=0.01)
     assert res <= bound
+
+
+def test_comparison_residual_on_a_grid_is_its_per_u_values():
+    row = RowSpec(5, ((FiniteDiscrete(((-0.3, 0.25), (0.1, 0.5), (0.2, 0.25))), 3),
+                      (Gaussian(0.0, 0.04), 1), (Uniform(-0.2, 0.2), 1)))
+    u = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    res, bound = comparison_residual(row, u, 2.0)
+    assert res.shape == bound.shape == u.shape
+    for t, r, b in zip(u.ravel().tolist(), res.ravel().tolist(), bound.ravel().tolist()):
+        assert (r, b) == comparison_residual(row, t, 2.0)
+
+
+def test_comparison_regime_error_names_the_first_u_of_a_grid():
+    row = RowSpec(1, ((FiniteDiscrete(((0.0, 1.0),)), 1), (FiniteDiscrete(((math.pi, 1.0),)), 1)))
+    with pytest.raises(ComparisonRegimeError, match=r"component 1 .* at u = 1\.0$"):
+        comparison_residual(row, [0.1, 1.0, 2.0], 1.0)
 
 
 def test_comparison_regime_error():

@@ -228,7 +228,7 @@ def test_psi_grid_matches_the_scalar_reference(m, u):
 @PROPERTY_SETTINGS
 @given(measures)
 def test_psi_curvature_property(m):
-    cv = curvature_check(m, 1e-4)
+    cv = curvature_check(m)
     assert abs(cv.second_difference - cv.target) <= 1e-6 * abs(cv.target)
 
 
@@ -244,25 +244,20 @@ def test_psi_against_quad_oracle(m, u):
 
 
 def test_curvature_dirac_zero_exact():
-    cv = curvature_check(AccumMeasure(atoms=((0.0, 1.0),)), 1e-4)
+    cv = curvature_check(AccumMeasure(atoms=((0.0, 1.0),)))
     assert cv.second_difference == -1.0
     assert cv.target == -1.0
 
 
 def test_curvature_scaled_dirac_one():
-    cv = curvature_check(AccumMeasure(atoms=((1.0, 1.0),)), 1e-4)
+    cv = curvature_check(AccumMeasure(atoms=((1.0, 1.0),)))
     assert cv.second_difference == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_curvature_empty_measure():
-    cv = curvature_check(AccumMeasure(), 1e-4)
+    cv = curvature_check(AccumMeasure())
     assert cv.second_difference == 0.0
     assert cv.target == 0.0
-
-
-def test_curvature_rejects_large_step():
-    with pytest.raises(ValueError):
-        curvature_check(AccumMeasure(atoms=((0.0, 1.0),)), 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The artifact JSON writer against the stdlib's indent=2 encoding."""
+"""The artifact JSON writer against the stdlib's indent=2 encoding, and the
+CSV writer."""
 
 import json
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from summand_lab.jsontext import Verbatim, json_text
+from summand_lab.jsontext import Verbatim, csv_text, json_text
 
 
 def reference(obj) -> str:
@@ -82,3 +83,9 @@ def test_verbatim_text_goes_in_as_it_stands():
     # a Verbatim is still a str to everything else
     assert json.loads(json_text(obj)) == {"x": json.loads(raw), "y": [json.loads(raw), "plain", 3]}
     assert json_text(Verbatim(raw)) == raw
+
+
+def test_csv_text_writes_floats_by_repr():
+    rows = [(0.1, None, 3), (-5e-324, "a,b", True), (1e16, 2.0, -0.0)]
+    assert csv_text(("x", "y", "z"), iter(rows)) == (
+        'x,y,z\n0.1,,3\n-5e-324,"a,b",True\n1e+16,2.0,-0.0\n')

@@ -28,6 +28,7 @@ from summand_lab import (
 )
 from summand_lab.montecarlo import (
     SUBSTREAM_CHUNK,
+    _poisson_pmf,
     _substream,
     std_gaussian_limit,
     tally,
@@ -377,3 +378,25 @@ def test_translated_poisson_cdf_at_lattice_points(b, k):
     assert exact(k) - exact(k - 1) > 1e-7  # the steps differ far beyond the tolerance
     assert cdf(points) == pytest.approx(expected, abs=1e-14)
     assert cdf(x) == pytest.approx(exact(k), abs=1e-14)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 700.0, 800.0, 1e4])
+def test_translated_poisson_cdf_matches_scipy(lam):
+    # past lam = 745, e^{-lam} underflows: the pmf starts from its mode
+    k = np.arange(0.0, 2.0 * lam + 60.0)
+    assert np.max(np.abs(translated_poisson_cdf(0.0, lam)(k) - poisson.cdf(k, lam))) <= 1e-14
+
+
+def test_ks_against_a_translated_poisson_of_large_lambda():
+    plan = SimulationPlan(BernoulliPoisson(800.0), (100_000,), 4000, seed=5, u_grid=(0.5,),
+                          limit=translated_poisson_limit(0.0, 800.0))
+    (result,), _ = run_simulation(plan)
+    assert result.ks < 0.05
+
+
+def test_poisson_pmf_walks_about_sqrt_lambda_terms():
+    # a subnormal times a ratio near 1 rounds back to itself, so a walk that
+    # waited for 0.0 went on to k = 0, 1e6 terms below the mode
+    first, pmf = _poisson_pmf(1e6)
+    assert first > 900_000 and pmf.size < 100_000
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-14)
