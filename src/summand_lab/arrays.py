@@ -87,9 +87,10 @@ class ComponentDist:
         raise NotImplementedError
 
 
-#: FiniteDiscrete.sample counts atoms by comparison up to this many atoms and
-#: binary-searches above it: on 1e4 unsorted draws the two cost about the same
-#: near 32 atoms, and the comparisons win by 1.7x at 16 atoms and 7x at 2
+#: FiniteDiscrete.sample and the row sampler count atoms by comparison up to
+#: this many atoms and binary-search above it: on 1e4 unsorted draws the two
+#: cost about the same near 32 atoms, and the comparisons win by 1.7x at 16
+#: atoms and 7x at 2
 _COMPARE_MAX_ATOMS = 32
 
 
@@ -368,7 +369,9 @@ def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
 def discrete_draws(sites: np.ndarray, probs: np.ndarray, rng: np.random.Generator,
                    size: int) -> np.ndarray:
     """size draws of the atoms (sites, probs) by inversion, one rng.random
-    value per draw.
+    value per draw: FiniteDiscrete.sample. The row sampler
+    (montecarlo._RowDraws) draws the same values into reused buffers; this
+    function is the reference its tests compare against.
 
     The atom of a uniform u is the number of cumulative probabilities
     before the last that are <= u, which equals
@@ -388,6 +391,9 @@ def discrete_draws(sites: np.ndarray, probs: np.ndarray, rng: np.random.Generato
 
 
 def uniform_draws(lo: float, hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size draws of Uniform(lo, hi): Uniform.sample, and the reference for
+    the row sampler's in-place buf *= hi - lo; buf += lo, which rounds the
+    same two operations."""
     return lo + (hi - lo) * rng.random(size)
 
 

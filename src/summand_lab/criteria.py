@@ -310,8 +310,9 @@ def general_verdict(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
     eps_list: Sequence[float] = (0.5,),
 ) -> VerdictReport:
-    """Canonical limit via the centered accumulation measures: pre-weak grid
-    distance, the total-mass gap (the weak upgrade), and the drift trend."""
+    """Canonical limit via the centered accumulation measures: infinitesimality
+    (max-variance, as the other verdicts check it), pre-weak grid distance,
+    the total-mass gap (the weak upgrade), and the drift trend."""
     n_list, eps_list = _verdict_lists(n_list, eps_list)
     rows = [gen.row(n) for n in n_list]
     hyp = hypothesis_check(rows, eps_list, c_target=limit.total_mass, tol=tolerances.coarse_stat)
@@ -322,6 +323,7 @@ def general_verdict(
     sup_dev = tuple(d.sup_deviation for d in dists)
     mass_gap = tuple(d.mass_gap for d in dists)
     checks = [
+        _trend("max-variance", "B_n", hyp.b, tolerances.exact_stat),
         _trend("preweak-distance", "sup grid deviation", sup_dev, tolerances.coarse_stat),
         _trend("mass-gap", "|mass(K_n) - mass(K)|", mass_gap, tolerances.coarse_stat),
     ]

@@ -3,7 +3,11 @@
 Row sums are sampled from SFC64 substreams, each seeded by
 SeedSequence(seed, spawn_key=(stream_id,)), so a stream is a pure function of
 (seed, stream_id) and any fixed chunking of the work reproduces bit-identical
-output regardless of how many workers execute the chunks. Distances to the
+output regardless of how many workers execute the chunks. A row's draws are
+planned once from its GroupTable (_RowDraws) and run per chunk into one
+reused buffer: a two-atom group by compare-and-take, a uniform copy scaled
+in place. The streams and roundings are those of the component .sample
+methods, which the tests keep as the reference. Distances to the
 predicted limit: exact one-sample Kolmogorov-Smirnov over the distinct sample
 values, and the max empirical-characteristic-function gap on a u-grid, whose
 empirical side is arrays.exp_sums over the whole grid (angle addition with
@@ -25,7 +29,8 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .arrays import (
-    DISCRETE, GAUSSIAN, ArrayGenerator, Gaussian, RowSpec, discrete_draws, exp_sums, uniform_draws,
+    _COMPARE_MAX_ATOMS, DISCRETE, GAUSSIAN, UNIFORM, ArrayGenerator, Gaussian, GroupTable, RowSpec,
+    exp_sums,
 )
 from .cf import CharFn, GaussianCF, TranslatedPoissonCF, eval_cf
 from .normal import ndtr
@@ -54,41 +59,14 @@ def sample_sums(row: RowSpec, count: int, seed: int, stream_id: int = 0) -> np.n
     Groups draw in row order from the single (seed, stream_id) stream, each
     from the exact law of its sum, and all Gaussian groups together draw last
     as one N(sum c m, sum c v); the result is a pure function of the two
-    integers.
+    integers. The draws go into one buffer of count doubles, reused by every
+    group (see _RowDraws); their order and every rounding are those of the
+    component .sample methods.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = _substream(seed, stream_id)
-    total = np.zeros(count, dtype=np.float64)
-    gauss_m, gauss_v = [], []
-    for family, copies, params in row.table.groups():
-        copies = int(copies)
-        if family == GAUSSIAN:
-            gauss_m.append(copies * params[0])
-            gauss_v.append(copies * params[1])
-        else:
-            total += _group_sums(family, params, copies, rng, count)
-    if gauss_v:
-        total += Gaussian(math.fsum(gauss_m), math.fsum(gauss_v)).sample(rng, count)
-    return total
-
-
-def _group_sums(family: int, params, copies: int, rng: Generator, size: int) -> np.ndarray:
-    """size realizations of the sum of `copies` independent draws of one
-    discrete or uniform group, params as GroupTable.groups gives them.
-
-    A discrete group is sites . Multinomial(copies, probs); a uniform one
-    draws once per copy (Irwin-Hall sums have no cheap exact sampler).
-    """
-    if family == DISCRETE:
-        sites, probs = params
-        if copies > 1:
-            # atoms may sum to 1 +- 1e-12, which numpy's own check can reject
-            return rng.multinomial(copies, probs / probs.sum(), size=size) @ sites
-        return discrete_draws(sites, probs, rng, size)
-    total = uniform_draws(*params, rng, size)
-    for _ in range(copies - 1):
-        total += uniform_draws(*params, rng, size)
+    total = np.empty(count, dtype=np.float64)
+    _RowDraws(row.table).fill(total, seed, stream_id)
     return total
 
 
@@ -99,11 +77,123 @@ def sample_sums_chunked(row: RowSpec, count: int, seed: int, base_stream: int = 
     fills a fixed slice of the output, so chunks may run in any order (or on
     any number of workers) and the merge is still byte-identical.
     """
+    draws = _RowDraws(row.table)
     out = np.empty(count, dtype=np.float64)
     for j, start in enumerate(range(0, count, SUBSTREAM_CHUNK)):
-        m = min(SUBSTREAM_CHUNK, count - start)
-        out[start:start + m] = sample_sums(row, m, seed, base_stream + j)
+        draws.fill(out[start:start + SUBSTREAM_CHUNK], seed, base_stream + j)
     return out
+
+
+# the steps of _RowDraws, one per discrete or uniform group
+_TAKE, _COMPARE, _SEARCH, _MULTINOMIAL, _UNIFORM = range(5)
+
+
+class _RowDraws:
+    """The draws of one row's sum, planned once per row from its GroupTable
+    and run once per chunk into buffers of the chunk's size.
+
+    Each discrete or uniform group is one step, in group order:
+
+    - _TAKE, a single copy of at most two atoms: one uniform u per sample
+      picks sites[u >= probs[0]] (probs[0] is +inf for one atom), by
+      compare-and-take on a bool mask;
+    - _COMPARE and _SEARCH, a single copy of more atoms: the atom index of
+      u is the number of cumulative probabilities before the last that are
+      <= u, counted into one intp buffer by comparisons up to
+      _COMPARE_MAX_ATOMS atoms (_COMPARE) and by binary search above
+      (_SEARCH);
+    - _MULTINOMIAL, c > 1 copies of a discrete law: sites . Multinomial(c,
+      probs) per sample;
+    - _UNIFORM, c copies of Uniform(lo, lo + width): each copy is
+      buf *= width; buf += lo on one rng.random(out=buf), and c > 1 copies
+      add up in a second buffer before they join the total.
+
+    These are the draws, in the order and with the roundings, of
+    FiniteDiscrete.sample (discrete_draws), Uniform.sample (uniform_draws)
+    and the multinomial sum: only the arrays they allocate per group are
+    gone. The Gaussian groups draw last, as one Gaussian.
+    """
+
+    def __init__(self, table: GroupTable):
+        steps = []
+        disc = zip(table.sites, table.probs, table.natoms.tolist())
+        unif = zip(table.lo.tolist(), table.hi.tolist())
+        for f, c in zip(table.fam.tolist(), table.count.tolist()):
+            c = int(c)
+            if f == DISCRETE:
+                sites, probs, k = next(disc)
+                if c > 1:
+                    # atoms may sum to 1 +- 1e-12, which numpy's own check can reject
+                    steps.append((_MULTINOMIAL, c, sites[:k], probs[:k] / probs[:k].sum()))
+                elif k <= 2:
+                    # one atom is padded with a zero atom, which u >= inf never picks
+                    steps.append((_TAKE, sites[:2], float(probs[0]) if k == 2 else math.inf))
+                elif k <= _COMPARE_MAX_ATOMS:
+                    steps.append((_COMPARE, sites[:k], np.cumsum(probs[:k])[:-1].tolist()))
+                else:
+                    steps.append((_SEARCH, sites[:k], np.cumsum(probs[:k])))
+            elif f == UNIFORM:
+                lo, hi = next(unif)
+                steps.append((_UNIFORM, c, lo, hi - lo))
+        kinds = {s[0] for s in steps}
+        self.steps = steps
+        self.buffered = bool(kinds - {_MULTINOMIAL})
+        self.indexed = bool(kinds & {_COMPARE, _SEARCH})
+        self.summed = any(s[0] == _UNIFORM and s[1] > 1 for s in steps)
+        g = table.index[GAUSSIAN]
+        self.gaussian = None
+        if g.size:
+            c = table.count[g]
+            self.gaussian = Gaussian(math.fsum(c * table.m), math.fsum(c * table.v))
+
+    def fill(self, total: np.ndarray, seed: int, stream_id: int) -> None:
+        """Write total.size realizations of the row sum, drawn from stream
+        (seed, stream_id), into total."""
+        rng = _substream(seed, stream_id)
+        size = total.size
+        total.fill(0.0)
+        # a row of multinomial groups alone allocates none of these
+        buf = np.empty(size) if self.buffered else None
+        mask = np.empty(size, dtype=bool) if self.buffered else None
+        idx = np.empty(size, dtype=np.intp) if self.indexed else None
+        acc = np.empty(size) if self.summed else None
+        for step in self.steps:
+            kind = step[0]
+            if kind == _TAKE:
+                _, sites, cut = step
+                rng.random(out=buf)
+                np.greater_equal(buf, cut, out=mask)
+                total += sites.take(mask.view(np.uint8))
+            elif kind == _COMPARE:
+                _, sites, cuts = step
+                rng.random(out=buf)
+                idx.fill(0)
+                for cut in cuts:
+                    np.greater_equal(buf, cut, out=mask)
+                    idx += mask
+                total += sites.take(idx)
+            elif kind == _SEARCH:
+                _, sites, cum = step
+                rng.random(out=buf)
+                np.minimum(np.searchsorted(cum, buf, side="right"), sites.size - 1, out=idx)
+                total += sites.take(idx)
+            elif kind == _MULTINOMIAL:
+                _, copies, sites, probs = step
+                total += rng.multinomial(copies, probs, size=size) @ sites
+            else:
+                _, copies, lo, width = step
+                into = buf if copies == 1 else acc
+                rng.random(out=into)
+                into *= width
+                into += lo
+                for _ in range(copies - 1):
+                    rng.random(out=buf)
+                    buf *= width
+                    buf += lo
+                    acc += buf
+                total += into
+        if self.gaussian is not None:
+            total += self.gaussian.sample(rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +321,14 @@ def ecf_distance(samples: Sequence[float] | Tally, limit_cf: CharFn, u_grid: Seq
     t = samples if isinstance(samples, Tally) else tally(samples)
     if t.size == 0 or len(u_grid) == 0:
         raise ValueError("samples and u_grid must be nonempty")
-    emp = exp_sums(u_grid, t.values, t.counts / t.size)
-    return float(np.max(np.abs(emp - eval_cf(limit_cf, u_grid))))
+    with np.errstate(all="ignore"):  # a non-finite gap is refused below
+        gap = np.abs(exp_sums(u_grid, t.values, t.counts / t.size) - eval_cf(limit_cf, u_grid))
+    bad = ~np.isfinite(gap)
+    if bad.any():
+        # u x overflows a double, for a sample x or a parameter of the limit
+        raise ValueError("the ECF distance is not finite at "
+                         f"u = {float(np.ravel(u_grid)[bad.argmax()])!r}")
+    return float(np.max(gap))
 
 
 std_normal_cdf = ndtr
@@ -260,7 +356,8 @@ def translated_poisson_cdf(b: float, lam: float) -> Callable:
             return np.zeros_like(x)
         first, pmf = _poisson_pmf(lam, kmax)
         cum = np.concatenate(([0.0], np.cumsum(pmf)))
-        return cum[np.clip(k.astype(np.int64) + 1 - first, 0, pmf.size)]
+        # in doubles: k and first may pass 2^63 (a sum near 1e76, lambda 1e300)
+        return cum[np.clip(k - float(first - 1), 0, pmf.size).astype(np.intp)]
 
     return cdf
 

@@ -1,11 +1,16 @@
 """CLI: validation, artifacts, determinism, exit codes, SVG structure."""
 
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr as scipy_ndtr
 
@@ -90,6 +95,27 @@ def test_verdict_failure_exits_2(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
     assert report["reasons"]
+
+
+def test_verdict_general_fails_rows_that_are_not_infinitesimal(tmp_path):
+    # four fair coin flips of +-0.5 at every n: S_n never converges, yet K_n
+    # equals the limit's at each grid point, so only max-variance (B_n = 0.25) fails
+    coins = [{"kind": "finite_discrete", "atoms": [[-0.5, 0.5], [0.5, 0.5]]}] * 4
+    cfg = write_config(tmp_path, "vgen.json", {
+        "task": "verdict-general",
+        "array": {"generator": "explicit",
+                  "rows": [{"n": n, "components": coins} for n in (10, 20, 40)]},
+        "n_list": [10, 20, 40],
+        "limit": {"kind": "dirac_zero", "mass": 1},
+        "grid": [-2, -1, 1, 2],
+        "shift_target": 0,
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out-dir", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["reasons"] == ["max-variance"]
+    check = report["results"]["verdict"]["checks"][0]
+    assert (check["code"], check["values"]) == ("max-variance", [0.25, 0.25, 0.25])
 
 
 def test_missing_field_exits_3(tmp_path, capsys):
@@ -604,6 +630,143 @@ def test_simulate_distances_match_the_dumped_samples(tmp_path, array, limit):
         f = scipy_ndtr(values)
         direct = max(np.max(np.abs(at - f)), np.max(np.abs(first / samples.size - f)))
         assert abs(ks - direct) <= 1e-12
+
+
+#: the largest site, bound or Gaussian mean the schema accepts (a var: its square)
+_BOUND = 2.0 ** 255
+_EDGES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                          1e-300, 1e76, -1e76, _BOUND, -_BOUND])
+_NUMBERS = st.one_of(_EDGES, st.floats(-_BOUND, _BOUND))
+
+
+@st.composite
+def _sim_components(draw):
+    kind = draw(st.sampled_from(["finite_discrete", "gaussian", "uniform"]))
+    if kind == "finite_discrete":
+        probs = draw(st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.25, 0.5]]))
+        return {"kind": kind, "atoms": [[draw(_NUMBERS), p] for p in probs]}
+    if kind == "gaussian":
+        var = draw(st.sampled_from([5e-324, 1e-300, 0.25, 1.0, 1e300, _BOUND * _BOUND]))
+        return {"kind": kind, "mean": draw(_NUMBERS), "var": var}
+    # widths down to subnormal ones, each bound within the schema's limit
+    lo = draw(_NUMBERS)
+    hi = min(max(lo + draw(st.sampled_from([5e-324, 1e-310, 1.0, 1e76, _BOUND])),
+                 math.nextafter(lo, math.inf)), _BOUND)
+    if not lo < hi:
+        lo = math.nextafter(hi, -math.inf)
+    return {"kind": kind, "lo": lo, "hi": hi}
+
+
+_SIM_LIMITS = st.one_of(
+    st.just({"kind": "std_gaussian"}),
+    # lambda stays off 1e8..1e78, where translated_poisson_cdf walks about
+    # 75 sqrt(lambda) pmf terms (ROADMAP, Smaller fixes); 1e300 lies above every sum
+    st.builds(lambda b, lam: {"kind": "translated_poisson", "b": b, "lambda": lam},
+              _NUMBERS, st.sampled_from([5e-324, 0.5, 1.0, 700.0, 1e300])),
+    st.builds(lambda m, v: {"kind": "cf", "spec": {"family": "gaussian", "params": {"m": m, "var": v}}},
+              _NUMBERS, st.sampled_from([0.0, 1.0, 1e300])),
+)
+
+
+@st.composite
+def simulate_configs(draw):
+    """A simulate config the schema accepts: explicit rows that mix the three
+    families with copies, numbers across the double range, one-point grids
+    and a few samples."""
+    ns = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)))
+    rows = []
+    for n in ns:
+        comps = []
+        for c in draw(st.lists(_sim_components(), min_size=1, max_size=3)):
+            comps += [c] * draw(st.sampled_from([1, 2, 5, 40]))
+        rows.append({"n": n, "components": comps})
+    u = st.one_of(_EDGES, st.floats(-1e300, 1e300))
+    u_grid = draw(st.one_of(
+        st.lists(u, min_size=1, max_size=3),
+        st.builds(lambda x: {"start": x, "stop": x, "step": 1.0}, u),
+        st.just({"start": -2.0, "stop": 2.0, "step": 0.5}),
+    ))
+    cfg = {"task": "simulate", "array": {"generator": "explicit", "rows": rows},
+           "n_list": draw(st.lists(st.sampled_from(ns), min_size=1, unique=True).map(sorted)),
+           "samples_per_n": draw(st.integers(1, 40)), "seed": draw(st.integers(0, 2**64)),
+           "u_grid": u_grid, "limit": draw(_SIM_LIMITS),
+           "dump_samples": draw(st.booleans()), "plots": draw(st.booleans())}
+    if draw(st.booleans()):
+        cfg["ks_threshold"] = 0.5
+    return cfg
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def run_checked(cfg: dict, where: Path) -> tuple[int, str]:
+    """Exit code and stderr of cli.main on cfg, after the checks every
+    schema-valid config must pass: exit 0, 2 or 3 and no exception; on 3 a
+    message naming a JSON pointer or the u it failed at, and an empty out
+    dir; otherwise no nan or inf in any artifact."""
+    where.mkdir(parents=True, exist_ok=True)
+    path, out = where / "cfg.json", where / "out"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out-dir", str(out), "--quiet"])
+    err = err.getvalue()
+    assert code in (0, 2, 3), err
+    if code == 3:
+        assert re.search(r"(^|\s)/\S*: |at u = ", err), err
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        for f in out.rglob("*"):
+            if f.is_file():
+                assert not _NON_FINITE.search(f.read_text()), f.name
+    return code, err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(simulate_configs())
+def test_generated_simulate_configs_run_or_exit_3(cfg):
+    with tempfile.TemporaryDirectory() as where:
+        run_checked(cfg, Path(where))
+
+
+def _one_row(components):
+    return {"generator": "explicit", "rows": [{"n": 2, "components": components}]}
+
+
+def test_translated_poisson_ks_reads_sums_past_2_to_the_63(tmp_path):
+    # the CDF indexed its pmf in int64: past 2^63 the index wrapped and F read
+    # 0 where it is 1, and against lambda = 1e300 it raised OverflowError
+    coin = {"kind": "finite_discrete", "atoms": [[0.0, 0.5], [_BOUND, 0.5]]}
+    cfg = {"task": "simulate", "array": _one_row([coin]), "n_list": [2], "samples_per_n": 40,
+           "seed": 1, "u_grid": [0.5], "dump_samples": True}
+    for lam, f0, f_big in ((1.0, math.exp(-1.0), 1.0), (1e300, 0.0, 0.0)):
+        cfg["limit"] = {"kind": "translated_poisson", "b": 0.0, "lambda": lam}
+        out = tmp_path / str(lam) / "out"
+        assert run_checked(cfg, out.parent)[0] == 0
+        samples = [float(x) for x in _csv_column(out / "tables" / "samples_2.csv", "sample")]
+        p0 = samples.count(0.0) / len(samples)
+        assert 0.0 < p0 < 1.0
+        ks = float(_csv_column(out / "tables" / "simulate.csv", "ks_distance")[0])
+        # the ECDF against F at 0, and at 2^255 and just below it
+        assert abs(ks - max(abs(p0 - f0), abs(1.0 - f_big), abs(p0 - f_big))) <= 1e-12
+
+
+@pytest.mark.parametrize("component, limit", [
+    # u x overflows for the samples (x = 1e76) and for the limit's mean
+    pytest.param({"kind": "finite_discrete", "atoms": [[1e76, 0.5], [0.5, 0.5]]},
+                 {"kind": "std_gaussian"}, id="sample"),
+    pytest.param({"kind": "uniform", "lo": 0.0, "hi": 1e-300},
+                 {"kind": "cf", "spec": {"family": "gaussian", "params": {"m": -1e76, "var": 0.0}}},
+                 id="limit"),
+])
+def test_ecf_that_is_not_finite_exits_3_naming_its_u(tmp_path, component, limit):
+    # it exited 3 from the report writer, on the nan it had computed
+    cfg = {"task": "simulate", "array": _one_row([component] * 2), "n_list": [2],
+           "samples_per_n": 5, "seed": 1, "u_grid": [0.5, -1e300], "limit": limit}
+    code, err = run_checked(cfg, tmp_path)
+    assert code == 3
+    assert "error: the ECF distance is not finite at u = -1e+300" in err
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -41,7 +41,7 @@ from summand_lab.arrays import (
     component_to_json,
     generator_from_json,
 )
-from summand_lab.montecarlo import _substream
+from summand_lab.montecarlo import SUBSTREAM_CHUNK, _substream, sample_sums_chunked
 
 # ---------------------------------------------------------------------------
 # References: one loop over the groups, through the component methods
@@ -157,10 +157,10 @@ weights = st.one_of(st.sampled_from([0.0, 0.1, 1.0, 2.5]), st.floats(0.01, 5.0))
 
 
 @st.composite
-def discretes(draw):
+def discretes(draw, sizes=(1, 2, 5, 40)):
     # 1, 2 and 5 atoms sum in _fsum_rows' two columns or by fsum; 40 is past
     # the sampler's comparison cut-off (_COMPARE_MAX_ATOMS)
-    k = draw(st.sampled_from([1, 2, 5, 40]))
+    k = draw(st.sampled_from(sizes))
     sites = draw(st.lists(values, min_size=k, max_size=k))
     w = draw(st.lists(weights, min_size=k, max_size=k))
     if not any(w):
@@ -180,18 +180,16 @@ def uniforms(draw):
     return Uniform(lo, lo + draw(st.floats(0.01, 3.0)))
 
 
-components = st.one_of(
-    discretes(),
-    st.builds(Gaussian, values, st.floats(0.01, 4.0)),
-    uniforms(),
-)
+gaussians = st.builds(Gaussian, values, st.floats(0.01, 4.0))
+components = st.one_of(discretes(), gaussians, uniforms())
 
 
 @st.composite
-def rows(draw):
-    """A row of repeated and distinct components, counts up to 4."""
-    pool = draw(st.lists(components, min_size=1, max_size=6))
-    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)),
+def rows(draw, pool_of=components, counts=st.integers(1, 4)):
+    """A row of repeated and distinct components from pool_of, by default
+    with counts up to 4."""
+    pool = draw(st.lists(pool_of, min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), counts),
                           min_size=1, max_size=12))
     return RowSpec(sum(c for _, c in picks), [(pool[i], c) for i, c in picks])
 
@@ -273,12 +271,53 @@ def test_group_cf_matches_the_scalar_reference(row, u):
             assert abs(got[j, i] - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+#: rows for the sampler: discrete groups on both sides of its comparison
+#: cut-off (_COMPARE_MAX_ATOMS = 32), and up to 16 copies of a group (300 in
+#: wide_row, as each copy costs parsed() a component)
+sampled_rows = rows(st.one_of(discretes((1, 2, 32, 33, 40)), gaussians, uniforms()),
+                    st.one_of(st.integers(1, 4), st.just(16)))
+
+
+def wide_row() -> RowSpec:
+    """A row of more than COLUMNAR_MIN_GROUPS groups of the three families:
+    discrete ones of 1, 2, 32, 33 and 40 atoms, and one group of each family
+    in 300 copies."""
+    rng = np.random.default_rng(11)
+    pairs = []
+    for i in range(arrays.COLUMNAR_MIN_GROUPS // 2):
+        k = (1, 2, 32, 33, 40)[i % 5]
+        w = rng.uniform(0.1, 1.0, k)
+        pairs.append(FiniteDiscrete(tuple(zip(rng.uniform(-2.0, 2.0, k), w / w.sum()))))
+        lo = rng.uniform(-2.0, 1.0)
+        pairs.append(Uniform(lo, lo + rng.uniform(0.01, 2.0)))
+        if i % 4 == 0:
+            pairs.append(Gaussian(rng.normal(), rng.uniform(0.01, 2.0)))
+    counts = [300 if i < 3 else (1, 1, 2)[i % 3] for i in range(len(pairs))]
+    return RowSpec(sum(counts), list(zip(pairs, counts)))
+
+
+def ref_sample_sums_chunked(row, count, seed, base_stream):
+    return np.concatenate([
+        ref_sample_sums(row, min(SUBSTREAM_CHUNK, count - start), seed, base_stream + j)
+        for j, start in enumerate(range(0, count, SUBSTREAM_CHUNK))])
+
+
 @COLUMNAR
-@given(rows(), st.integers(0, 2**32), st.integers(0, 3))
+@given(sampled_rows, st.integers(0, 2**32), st.integers(0, 3))
+@example(wide_row(), 7, 2)
 def test_sample_sums_draw_the_component_streams(row, seed, stream_id):
     want = ref_sample_sums(row, 64, seed, stream_id).tobytes()
     assert sample_sums(row, 64, seed, stream_id).tobytes() == want
     assert sample_sums(parsed(row), 64, seed, stream_id).tobytes() == want
+
+
+@pytest.mark.parametrize("count", [1, SUBSTREAM_CHUNK, SUBSTREAM_CHUNK + 1])
+def test_chunked_sums_draw_the_component_streams(count):
+    row = wide_row()
+    assert len(row.components) >= arrays.COLUMNAR_MIN_GROUPS
+    want = ref_sample_sums_chunked(row, count, 3, 5 << 32).tobytes()
+    assert sample_sums_chunked(row, count, 3, 5 << 32).tobytes() == want
+    assert sample_sums_chunked(parsed(row), count, 3, 5 << 32).tobytes() == want
 
 
 @COLUMNAR
