@@ -9,7 +9,6 @@ is discretized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Sequence
@@ -20,6 +19,7 @@ from .arrays import (
     DISCRETE, GAUSSIAN, UNIFORM, ArraySpecError, ComponentDist, FiniteDiscrete, GroupTable, RowSpec,
     columnar, component_from_json, component_key, component_to_json, json_number, refuse_unknown,
 )
+from .config import Value
 from .jsontext import csv_text, json_text
 
 #: accumulation-measure atom sites closer than this are merged into one
@@ -229,10 +229,9 @@ def build_accum(row: RowSpec, center: bool) -> AccumMeasure:
     return AccumMeasure._of_table(atoms, pieces, total, row.n, center)
 
 
-@dataclass(frozen=True)
-class PreweakDistance:
-    sup_deviation: float
-    mass_gap: float
+class PreweakDistance(Value):
+    def __init__(self, sup_deviation: float, mass_gap: float):
+        vars(self).update(sup_deviation=sup_deviation, mass_gap=mass_gap)
 
 
 def preweak_distance(

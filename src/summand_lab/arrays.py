@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import Value
 from .normal import ndtr, ndtr_scalar, ndtri
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -44,10 +44,10 @@ class ArraySpecError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class ComponentDist:
+class ComponentDist(Value):
     """One array entry's distribution, with exact moment functionals.
 
-    Subclasses are frozen dataclasses; all methods are pure.
+    Instances are immutable values; all methods are pure.
     """
 
     def mean(self) -> float:
@@ -83,27 +83,14 @@ class ComponentDist:
         """Distribution of X / s, s > 0."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
 
-
-#: FiniteDiscrete.sample and the row sampler count atoms by comparison up to
-#: this many atoms and binary-search above it: on 1e4 unsorted draws the two
-#: cost about the same near 32 atoms, and the comparisons win by 1.7x at 16
-#: atoms and 7x at 2
-_COMPARE_MAX_ATOMS = 32
-
-
-@dataclass(frozen=True)
 class FiniteDiscrete(ComponentDist):
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[tuple[float, float], ...]):
+        if not atoms:
             raise ValueError("FiniteDiscrete needs at least one atom")
         coerced = []
         total = 0.0
-        for site, prob in self.atoms:
+        for site, prob in atoms:
             site, prob = float(site), float(prob)
             if not (math.isfinite(site) and math.isfinite(prob)):
                 raise ValueError(f"non-finite atom ({site}, {prob})")
@@ -113,7 +100,7 @@ class FiniteDiscrete(ComponentDist):
             total += prob
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {total}, expected 1")
-        object.__setattr__(self, "atoms", tuple(coerced))
+        vars(self).update(atoms=tuple(coerced))
 
     def mean(self):
         return math.fsum(x * p for x, p in self.atoms)
@@ -149,21 +136,15 @@ class FiniteDiscrete(ComponentDist):
             raise ValueError("scale must be positive")
         return FiniteDiscrete(tuple((x / s, p) for x, p in self.atoms))
 
-    def sample(self, rng, size):
-        return discrete_draws(np.array([x for x, _ in self.atoms]),
-                              np.array([p for _, p in self.atoms]), rng, size)
 
-
-@dataclass(frozen=True)
 class Gaussian(ComponentDist):
-    m: float
-    v: float  # variance, strictly positive
+    """Mean m and variance v, strictly positive."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "v", float(self.v))
-        if not (self.v > 0.0 and math.isfinite(self.v) and math.isfinite(self.m)):
-            raise ValueError(f"Gaussian needs finite mean and variance > 0, got ({self.m}, {self.v})")
+    def __init__(self, m: float, v: float):
+        m, v = float(m), float(v)
+        if not (v > 0.0 and math.isfinite(v) and math.isfinite(m)):
+            raise ValueError(f"Gaussian needs finite mean and variance > 0, got ({m}, {v})")
+        vars(self).update(m=m, v=v)
 
     def mean(self):
         return self.m
@@ -208,16 +189,12 @@ class Gaussian(ComponentDist):
         return self.m + math.sqrt(self.v) * ndtri(u)
 
 
-@dataclass(frozen=True)
 class Uniform(ComponentDist):
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"Uniform needs lo < hi, got ({self.lo}, {self.hi})")
+    def __init__(self, lo: float, hi: float):
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"Uniform needs lo < hi, got ({lo}, {hi})")
+        vars(self).update(lo=lo, hi=hi)
 
     def mean(self):
         return 0.5 * (self.lo + self.hi)
@@ -255,9 +232,6 @@ class Uniform(ComponentDist):
         if s <= 0.0:
             raise ValueError("scale must be positive")
         return Uniform(self.lo / s, self.hi / s)
-
-    def sample(self, rng, size):
-        return uniform_draws(self.lo, self.hi, rng, size)
 
 
 #: below this |w| the direct (e^w - 1 - w) / w^2 loses more than ~1e-14
@@ -364,37 +338,6 @@ def exp_sums(u_grid, x, w) -> np.ndarray:
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     # 53-bit uniforms on the open interval (0,1); ndtri stays finite
     return rng.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53)
-
-
-def discrete_draws(sites: np.ndarray, probs: np.ndarray, rng: np.random.Generator,
-                   size: int) -> np.ndarray:
-    """size draws of the atoms (sites, probs) by inversion, one rng.random
-    value per draw: FiniteDiscrete.sample. The row sampler
-    (montecarlo._RowDraws) draws the same values into reused buffers; this
-    function is the reference its tests compare against.
-
-    The atom of a uniform u is the number of cumulative probabilities
-    before the last that are <= u, which equals
-    min(searchsorted(cum, u, "right"), K - 1) exactly. Up to
-    _COMPARE_MAX_ATOMS atoms it is counted with one vector comparison per
-    atom, several times faster than the binary search on unsorted draws;
-    more atoms take the search. Both give the same draws.
-    """
-    cum = np.cumsum(probs)
-    u = rng.random(size)
-    if len(sites) > _COMPARE_MAX_ATOMS:
-        return sites[np.minimum(np.searchsorted(cum, u, side="right"), len(sites) - 1)]
-    idx = np.zeros(size, dtype=np.intp)
-    for c in cum[:-1]:
-        idx += u >= c
-    return sites[idx]
-
-
-def uniform_draws(lo: float, hi: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """size draws of Uniform(lo, hi): Uniform.sample, and the reference for
-    the row sampler's in-place buf *= hi - lo; buf += lo, which rounds the
-    same two operations."""
-    return lo + (hi - lo) * rng.random(size)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +603,9 @@ class RowSpec:
     """
 
     def __init__(self, n: int, components):
+        # component -> its group's index in counts: one hash per pair
         groups: dict[ComponentDist, int] = {}
+        counts: list[int] = []
         for i, pair in enumerate(components):
             try:
                 comp, count = pair
@@ -672,12 +617,16 @@ class RowSpec:
                 raise ValueError(f"component {i}: expected a component distribution, got {comp!r}")
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise ValueError(f"component {i}: count must be a positive integer, got {count!r}")
-            groups[comp] = groups.get(comp, 0) + count
+            j = groups.setdefault(comp, len(counts))
+            if j < len(counts):
+                counts[j] += count
+            else:
+                counts.append(count)
         if not groups:
             raise ValueError("a row needs at least one component")
         self.n = n
-        self.components = tuple(groups.items())
-        self._k = sum(groups.values())
+        self.components = tuple(zip(groups, counts))
+        self._k = sum(counts)
         self.columnar = columnar(len(groups))
 
     @classmethod
@@ -759,66 +708,69 @@ def row_statistics(row: RowSpec, eps: float) -> RowStats:
 # ---------------------------------------------------------------------------
 
 
-class ArrayGenerator:
+class ArrayGenerator(Value):
     """Deterministic pure rule n -> RowSpec."""
+
+    def check_row(self, n: int) -> None:
+        """Raise ValueError, as row(n) would, unless n names a row."""
+        if n < 1:
+            raise ValueError("row index must be >= 1")
 
     def row(self, n: int) -> RowSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class StandardizedIid(ArrayGenerator):
     """n copies of base / s_n with s_n^2 = n * Var(base)."""
 
-    base: ComponentDist
-
-    def __post_init__(self):
-        if self.base.var() <= 0.0:
+    def __init__(self, base: ComponentDist):
+        if base.var() <= 0.0:
             raise ValueError("StandardizedIid base needs positive variance")
+        vars(self).update(base=base)
 
     def row(self, n):
-        if n < 1:
-            raise ValueError("row index must be >= 1")
+        self.check_row(n)
         comp = self.base.scaled(math.sqrt(n * self.base.var()))
         return RowSpec(n, ((comp, n),))
 
 
-@dataclass(frozen=True)
 class BernoulliPoisson(ArrayGenerator):
     """n copies of Bernoulli(lam / n) on {0, 1}."""
 
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+    def __init__(self, lam: float):
+        lam = float(lam)
+        if not (lam > 0.0 and math.isfinite(lam)):
             raise ValueError("lambda must be positive and finite")
+        vars(self).update(lam=lam)
 
-    def row(self, n):
-        if n < 1:
-            raise ValueError("row index must be >= 1")
+    def check_row(self, n):
+        super().check_row(n)
         p = self.lam / n
         if p > 1.0:
             raise ValueError(f"row {n} would need success probability {p} > 1")
+
+    def row(self, n):
+        self.check_row(n)
+        p = self.lam / n
         comp = FiniteDiscrete(((0.0, 1.0 - p), (1.0, p)))
         return RowSpec(n, ((comp, n),))
 
 
-@dataclass(frozen=True)
 class ExplicitArray(ArrayGenerator):
-    rows: tuple[RowSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.rows:
+    def __init__(self, rows: tuple[RowSpec, ...]):
+        rows = tuple(rows)
+        if not rows:
             raise ValueError("ExplicitArray needs at least one row")
+        vars(self).update(rows=rows)
+
+    def check_row(self, n):
+        if all(r.n != n for r in self.rows):
+            have = sorted(r.n for r in self.rows)
+            raise ValueError(f"no explicit row for n={n}; available: {have}")
 
     def row(self, n):
-        for r in self.rows:
-            if r.n == n:
-                return r
-        have = sorted(r.n for r in self.rows)
-        raise ValueError(f"no explicit row for n={n}; available: {have}")
+        self.check_row(n)
+        return next(r for r in self.rows if r.n == n)
 
 
 # ---------------------------------------------------------------------------
@@ -826,28 +778,37 @@ class ExplicitArray(ArrayGenerator):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Value):
     """Raw bounded-variance / variance-convergence / negligibility statistics.
 
     markov_bound holds eps^-2 * max_k E[X_{k,n}^2]; for centered rows this is
     the classical Chebyshev envelope for the per-term exceedance probability.
+    u_table and markov_bound are indexed [i_eps][i_n], and uan_final holds U
+    at the largest n, per eps.
     """
 
-    n_list: tuple[int, ...]
-    eps_list: tuple[float, ...]
-    mv: tuple[float, ...]
-    b: tuple[float, ...]
-    a: tuple[float, ...]
-    sup_mv: float
-    c_target: float | None
-    vch_gap: tuple[float, ...] | None
-    u_table: tuple[tuple[float, ...], ...]        # [i_eps][i_n]
-    markov_bound: tuple[tuple[float, ...], ...]   # [i_eps][i_n]
-    markov_ok: bool
-    uan_final: tuple[float, ...]                  # U at largest n, per eps
-    uan_ok: bool
-    vch_ok: bool | None
+    def __init__(
+        self,
+        n_list: tuple[int, ...],
+        eps_list: tuple[float, ...],
+        mv: tuple[float, ...],
+        b: tuple[float, ...],
+        a: tuple[float, ...],
+        sup_mv: float,
+        c_target: float | None,
+        vch_gap: tuple[float, ...] | None,
+        u_table: tuple[tuple[float, ...], ...],
+        markov_bound: tuple[tuple[float, ...], ...],
+        markov_ok: bool,
+        uan_final: tuple[float, ...],
+        uan_ok: bool,
+        vch_ok: bool | None,
+    ):
+        vars(self).update(
+            n_list=n_list, eps_list=eps_list, mv=mv, b=b, a=a, sup_mv=sup_mv, c_target=c_target,
+            vch_gap=vch_gap, u_table=u_table, markov_bound=markov_bound, markov_ok=markov_ok,
+            uan_final=uan_final, uan_ok=uan_ok, vch_ok=vch_ok,
+        )
 
     def to_dict(self) -> dict:
         """The fields in order, tuples as lists and the two tables keyed by
@@ -1058,27 +1019,6 @@ def _req_num(obj: dict, key: str, path: str) -> float:
     if key not in obj:
         raise ArraySpecError(f"{path}/{key}: missing required field")
     return json_number(obj[key], f"{path}/{key}")
-
-
-def generator_to_json(gen: ArrayGenerator) -> dict:
-    if isinstance(gen, StandardizedIid):
-        return {"generator": "standardized_iid", "base": component_to_json(gen.base)}
-    if isinstance(gen, BernoulliPoisson):
-        return {"generator": "bernoulli_poisson", "lambda": gen.lam}
-    if isinstance(gen, ExplicitArray):
-        return {
-            "generator": "explicit",
-            "rows": [
-                {
-                    "n": r.n,
-                    "components": [
-                        component_to_json(c) for c, count in r.components for _ in range(count)
-                    ],
-                }
-                for r in gen.rows
-            ],
-        }
-    raise TypeError(f"unknown generator type {type(gen).__name__}")
 
 
 def generator_from_json(obj, path: str = "") -> ArrayGenerator:

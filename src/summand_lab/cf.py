@@ -11,13 +11,13 @@ its JSON name and fields, and to_json and from_json read one registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .accumulation import AccumMeasure, measure_from_json, measure_to_json
 from .arrays import ArraySpecError, complex_array, exp_sums, json_number, refuse_unknown
+from .config import Value
 
 
 class CharFnError(ValueError):
@@ -28,7 +28,7 @@ class NoClosedFormRootError(CharFnError):
     """The requested variant has no symbolic p-th root."""
 
 
-class CharFn:
+class CharFn(Value):
     """Base class. Instances are immutable values; evaluation is pure.
 
     A family sets FAMILY, its JSON name, and PARAMS, its (JSON key,
@@ -58,16 +58,15 @@ class CharFn:
         return cls(**{attr: _param(params, key, pointer) for key, attr in cls.PARAMS})
 
 
-@dataclass(frozen=True)
 class Degenerate(CharFn):
     """Point mass at a: e^{iau}."""
 
     FAMILY = "degenerate"
     PARAMS = (("a", "a"),)
-    a: float
 
-    def __post_init__(self):
-        _require_finite(self.a, "a")
+    def __init__(self, a: float):
+        _require_finite(a, "a")
+        vars(self).update(a=a)
 
     def log_cf(self, u):
         return complex_array(0.0, self.a * u)
@@ -76,20 +75,18 @@ class Degenerate(CharFn):
         return Degenerate(self.a / p)
 
 
-@dataclass(frozen=True)
 class GaussianCF(CharFn):
     """exp(imu - var u^2 / 2). var = 0 is allowed and behaves as Degenerate(m)."""
 
     FAMILY = "gaussian"
     PARAMS = (("m", "m"), ("var", "var"))
-    m: float
-    var: float
 
-    def __post_init__(self):
-        _require_finite(self.m, "m")
-        _require_finite(self.var, "var")
-        if self.var < 0.0:
-            raise CharFnError(f"variance must be >= 0, got {self.var}")
+    def __init__(self, m: float, var: float):
+        _require_finite(m, "m")
+        _require_finite(var, "var")
+        if var < 0.0:
+            raise CharFnError(f"variance must be >= 0, got {var}")
+        vars(self).update(m=m, var=var)
 
     def log_cf(self, u):
         return complex_array(-0.5 * self.var * u * u, self.m * u)
@@ -98,19 +95,17 @@ class GaussianCF(CharFn):
         return GaussianCF(self.m / p, self.var / p)
 
 
-@dataclass(frozen=True)
 class TranslatedPoissonCF(CharFn):
     """Law of a + Poisson(lam): exp(iau + lam(e^{iu} - 1))."""
 
     FAMILY = "translated_poisson"
     PARAMS = (("a", "a"), ("lambda", "lam"))
-    a: float
-    lam: float
 
-    def __post_init__(self):
-        _require_finite(self.a, "a")
-        if not self.lam > 0.0:
-            raise CharFnError(f"lambda must be > 0, got {self.lam}")
+    def __init__(self, a: float, lam: float):
+        _require_finite(a, "a")
+        if not lam > 0.0:
+            raise CharFnError(f"lambda must be > 0, got {lam}")
+        vars(self).update(a=a, lam=lam)
 
     def log_cf(self, u):
         return complex_array(self.lam * (np.cos(u) - 1.0), self.a * u + self.lam * np.sin(u))
@@ -119,20 +114,18 @@ class TranslatedPoissonCF(CharFn):
         return TranslatedPoissonCF(self.a / p, self.lam / p)
 
 
-@dataclass(frozen=True)
 class GammaCF(CharFn):
     """(1 - iu/rate)^{-shape}, principal power (the base has real part 1)."""
 
     FAMILY = "gamma"
     PARAMS = (("shape", "shape"), ("rate", "rate"))
-    shape: float
-    rate: float
 
-    def __post_init__(self):
-        if not self.shape > 0.0:
-            raise CharFnError(f"shape must be > 0, got {self.shape}")
-        if not self.rate > 0.0:
-            raise CharFnError(f"rate must be > 0, got {self.rate}")
+    def __init__(self, shape: float, rate: float):
+        if not shape > 0.0:
+            raise CharFnError(f"shape must be > 0, got {shape}")
+        if not rate > 0.0:
+            raise CharFnError(f"rate must be > 0, got {rate}")
+        vars(self).update(shape=shape, rate=rate)
 
     def log_cf(self, u):
         return -self.shape * np.log(complex_array(1.0, -u / self.rate))
@@ -141,19 +134,17 @@ class GammaCF(CharFn):
         return GammaCF(self.shape / p, self.rate)
 
 
-@dataclass(frozen=True)
 class CauchyCF(CharFn):
     """exp(i loc u - scale |u|)."""
 
     FAMILY = "cauchy"
     PARAMS = (("loc", "loc"), ("scale", "scale"))
-    loc: float
-    scale: float
 
-    def __post_init__(self):
-        _require_finite(self.loc, "loc")
-        if not self.scale > 0.0:
-            raise CharFnError(f"scale must be > 0, got {self.scale}")
+    def __init__(self, loc: float, scale: float):
+        _require_finite(loc, "loc")
+        if not scale > 0.0:
+            raise CharFnError(f"scale must be > 0, got {scale}")
+        vars(self).update(loc=loc, scale=scale)
 
     def log_cf(self, u):
         return complex_array(-self.scale * np.abs(u), self.loc * u)
@@ -162,30 +153,26 @@ class CauchyCF(CharFn):
         return CauchyCF(self.loc / p, self.scale / p)
 
 
-@dataclass(frozen=True)
-class PoissonTypeTerm:
+class PoissonTypeTerm(Value):
     """One factor exp(i(shift - drift)u + intensity(e^{i site u} - 1))."""
 
-    drift: float
-    intensity: float
-    site: float
-    shift: float = 0.0
+    #: the fields, which are also the keys of a term's JSON object
+    FIELDS = ("drift", "intensity", "site", "shift")
 
-    def __post_init__(self):
-        if self.intensity < 0.0:
-            raise CharFnError(f"intensity must be >= 0, got {self.intensity}")
-        if self.site == 0.0:
+    def __init__(self, drift: float, intensity: float, site: float, shift: float = 0.0):
+        if intensity < 0.0:
+            raise CharFnError(f"intensity must be >= 0, got {intensity}")
+        if site == 0.0:
             raise CharFnError("site must be nonzero")
+        vars(self).update(drift=drift, intensity=intensity, site=site, shift=shift)
 
 
-@dataclass(frozen=True)
 class PoissonTypeProduct(CharFn):
     FAMILY = "poisson_type_product"
     PARAMS = (("terms", "terms"),)
-    terms: tuple[PoissonTypeTerm, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms: tuple[PoissonTypeTerm, ...]):
+        vars(self).update(terms=tuple(terms))
 
     def log_cf(self, u):
         """sum_j intensity_j (e^{iu site_j} - 1) + iu sum_j (shift_j - drift_j),
@@ -213,22 +200,20 @@ def _term(obj, pointer: str) -> PoissonTypeTerm:
     """A term's JSON object, whose keys are the term's fields; shift may be
     left out."""
     values = [_param(obj, k, pointer) for k in ("drift", "intensity", "site")]
-    refuse_unknown(obj, PoissonTypeTerm.__dataclass_fields__, pointer)
+    refuse_unknown(obj, PoissonTypeTerm.FIELDS, pointer)
     return PoissonTypeTerm(*values, _param(obj, "shift", pointer, default=0.0))
 
 
-@dataclass(frozen=True)
 class KolmogorovCF(CharFn):
     """Canonical finite-variance form exp(i shift u + Psi(u)), with
     Psi(u) = ∫ (e^{iux} - 1 - iux) / x^2 dK(x) from exponent.exponent_eval."""
 
     FAMILY = "kolmogorov"
     PARAMS = (("shift", "shift"), ("measure", "measure"))
-    shift: float
-    measure: AccumMeasure
 
-    def __post_init__(self):
-        _require_finite(self.shift, "shift")
+    def __init__(self, shift: float, measure: AccumMeasure):
+        _require_finite(shift, "shift")
+        vars(self).update(shift=shift, measure=measure)
 
     def log_cf(self, u):
         from .exponent import exponent_eval  # deferred: exponent imports this module
@@ -244,16 +229,15 @@ class KolmogorovCF(CharFn):
                    measure_from_json(params["measure"], f"{pointer}/measure"))
 
 
-@dataclass(frozen=True)
 class ProductCF(CharFn):
     FAMILY = "product"
     PARAMS = (("factors", "factors"),)
-    factors: tuple[CharFn, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors: tuple[CharFn, ...]):
+        factors = tuple(factors)
+        if not factors:
             raise CharFnError("product needs at least one factor")
+        vars(self).update(factors=factors)
 
     def log_cf(self, u):
         return sum((f.log_cf(u) for f in self.factors), 0j)
@@ -264,19 +248,17 @@ class ProductCF(CharFn):
                          for i, f in enumerate(params["factors"])))
 
 
-@dataclass(frozen=True)
 class PowerCF(CharFn):
     """base^{1/p}; only bases with a symbolic root are representable."""
 
     FAMILY = "power"
     PARAMS = (("base", "base"), ("p", "p"))
-    base: CharFn
-    p: int
 
-    def __post_init__(self):
-        if not (isinstance(self.p, int) and self.p >= 1):
-            raise CharFnError(f"exponent denominator must be a positive integer, got {self.p}")
-        pth_root(self.base, self.p)  # raises NoClosedFormRootError for bad bases
+    def __init__(self, base: CharFn, p: int):
+        if not (isinstance(p, int) and p >= 1):
+            raise CharFnError(f"exponent denominator must be a positive integer, got {p}")
+        pth_root(base, p)  # raises NoClosedFormRootError for bad bases
+        vars(self).update(base=base, p=p)
 
     def log_cf(self, u):
         return pth_root(self.base, self.p).log_cf(u)
@@ -289,11 +271,12 @@ class PowerCF(CharFn):
         return cls(from_json(params["base"], f"{pointer}/base"), p)
 
 
-@dataclass(frozen=True)
 class ConjugateCF(CharFn):
     FAMILY = "conjugate"
     PARAMS = (("base", "base"),)
-    base: CharFn
+
+    def __init__(self, base: CharFn):
+        vars(self).update(base=base)
 
     def log_cf(self, u):
         return np.conj(self.base.log_cf(u))

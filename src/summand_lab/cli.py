@@ -10,7 +10,6 @@ geometry.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 from json.encoder import encode_basestring_ascii
 # argparse's gettext imports locale in the first ArgumentParser(); loaded here,
@@ -26,7 +25,8 @@ import numpy as np
 
 from .accumulation import AccumMeasure, build_accum, export_measure_csv, measure_from_json
 from .arrays import (
-    ArraySpecError, check_lists, generator_from_json, hypothesis_check, json_number, refuse_unknown,
+    ArrayGenerator, ArraySpecError, check_lists, generator_from_json, hypothesis_check, json_number,
+    refuse_unknown,
 )
 from .cf import CharFnError, from_json as cf_from_json, to_json as cf_to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
@@ -144,11 +144,8 @@ def _parse_tolerances(cfg) -> ToleranceConfig:
         return DEFAULT_TOLERANCES
     if not isinstance(overrides, dict):
         raise ConfigError("/tolerances: expected an object")
-    refuse_unknown(overrides, ToleranceConfig.__dataclass_fields__, "/tolerances")
-    return dataclasses.replace(
-        DEFAULT_TOLERANCES,
-        **{k: json_number(v, f"/tolerances/{k}") for k, v in overrides.items()},
-    )
+    refuse_unknown(overrides, ToleranceConfig.FIELDS, "/tolerances")
+    return ToleranceConfig(**{k: json_number(v, f"/tolerances/{k}") for k, v in overrides.items()})
 
 
 #: the one-atom measure kinds: kind -> (site, field holding the mass)
@@ -222,8 +219,19 @@ def _log_n(n_list):
     return [math.log10(n) for n in n_list]
 
 
-def _run_hypotheses(cfg, tolerances, seed):
+def _array(cfg) -> ArrayGenerator:
+    """/array, with every /n_list entry checked to name one of its rows."""
     gen = generator_from_json(cfg["array"], "/array")
+    for i, n in enumerate(cfg["n_list"]):
+        try:
+            gen.check_row(n)
+        except ValueError as exc:
+            raise ConfigError(f"/n_list/{i}: {exc}") from None
+    return gen
+
+
+def _run_hypotheses(cfg, tolerances, seed):
+    gen = _array(cfg)
     # checked, but passed on as written: the report echoes it
     _optional_number(cfg.get("c_target"), "/c_target")
     n_list, eps_list = check_lists(cfg["n_list"], cfg["eps_list"])
@@ -286,14 +294,14 @@ def _verdict_tables(rep: VerdictReport):
 
 
 def _run_verdict_gaussian(cfg, tolerances, seed):
-    gen = generator_from_json(cfg["array"], "/array")
+    gen = _array(cfg)
     rep = gaussian_verdict(gen, cfg["n_list"], cfg["eps_list"], tolerances)
     tables, plots = _verdict_tables(rep)
     return rep.passed, {"verdict": rep.to_dict(), "summary_text": rep.to_text()}, tables, plots, []
 
 
 def _run_verdict_poisson(cfg, tolerances, seed):
-    gen = generator_from_json(cfg["array"], "/array")
+    gen = _array(cfg)
     target = cfg["target"]
     if not isinstance(target, dict) or "b" not in target or "lambda" not in target:
         raise ConfigError("/target: expected an object with 'b' and 'lambda'")
@@ -306,7 +314,7 @@ def _run_verdict_poisson(cfg, tolerances, seed):
 
 
 def _run_verdict_general(cfg, tolerances, seed):
-    gen = generator_from_json(cfg["array"], "/array")
+    gen = _array(cfg)
     rep = general_verdict(
         gen,
         cfg["n_list"],
@@ -366,7 +374,7 @@ def _run_poisson_approx(cfg, tolerances, seed):
 
 
 def _run_simulate(cfg, tolerances, seed):
-    gen = generator_from_json(cfg["array"], "/array")
+    gen = _array(cfg)
     limit = _parse_sim_limit(cfg["limit"], "/limit")
     plan = SimulationPlan(
         generator=gen,

@@ -12,7 +12,6 @@ Both facts are recorded separately so failures are attributable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .arrays import (
     running_sum,
 )
 from .cf import CharFn, GaussianCF, to_json
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
+from .config import DEFAULT_TOLERANCES, ToleranceConfig, Value
 from .exponent import limit_char_fn
 
 _MONOTONE_SLACK = 1e-12
@@ -107,14 +106,11 @@ def comparison_residual(row: RowSpec, u, c_bound: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrendCheck:
-    code: str
-    label: str
-    values: tuple[float, ...]
-    tol: float
-    final_ok: bool
-    monotone_ok: bool
+class TrendCheck(Value):
+    def __init__(self, code: str, label: str, values: tuple[float, ...], tol: float,
+                 final_ok: bool, monotone_ok: bool):
+        vars(self).update(code=code, label=label, values=values, tol=tol, final_ok=final_ok,
+                          monotone_ok=monotone_ok)
 
     @property
     def passed(self) -> bool:
@@ -137,21 +133,30 @@ def _level(code: str, label: str, values: Sequence[float], tol: float) -> TrendC
     return TrendCheck(code, label, values, tol, max(values) <= tol, True)
 
 
-@dataclass(frozen=True)
-class VerdictReport:
-    task: str
-    n_list: tuple[int, ...]
-    eps_list: tuple[float, ...]
-    hypothesis: HypothesisReport
-    columns: dict[str, tuple[float, ...]]                  # per-n statistics
-    series: dict[str, dict[float, tuple[float, ...]]]      # per-eps per-n tables
-    checks: tuple[TrendCheck, ...]
-    passed: bool
-    reasons: tuple[str, ...]
-    predicted_limit: CharFn | None
-    #: verdict-general: the centred accumulation measure of the last row;
-    #: not part of to_dict
-    accum_measure: AccumMeasure | None = None
+class VerdictReport(Value):
+    """columns holds the per-n statistics and series the per-eps per-n
+    tables; accum_measure, of verdict-general only, is the centred
+    accumulation measure of the last row, not part of to_dict."""
+
+    def __init__(
+        self,
+        task: str,
+        n_list: tuple[int, ...],
+        eps_list: tuple[float, ...],
+        hypothesis: HypothesisReport,
+        columns: dict[str, tuple[float, ...]],
+        series: dict[str, dict[float, tuple[float, ...]]],
+        checks: tuple[TrendCheck, ...],
+        passed: bool,
+        reasons: tuple[str, ...],
+        predicted_limit: CharFn | None,
+        accum_measure: AccumMeasure | None = None,
+    ):
+        vars(self).update(
+            task=task, n_list=n_list, eps_list=eps_list, hypothesis=hypothesis, columns=columns,
+            series=series, checks=checks, passed=passed, reasons=reasons,
+            predicted_limit=predicted_limit, accum_measure=accum_measure,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -9,7 +9,6 @@ Poisson-type product that approximates exp(Psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .accumulation import AccumMeasure
 from .arrays import GAUSSIAN, UNIFORM, GroupTable, complex_array, phi2, sinc_m1
 from .cf import CharFn, KolmogorovCF, PoissonTypeProduct, PoissonTypeTerm
+from .config import Value
 
 
 class MeshRefinementError(ValueError):
@@ -78,10 +78,11 @@ def _compensated(cu: np.ndarray, factor_m1: np.ndarray) -> np.ndarray:
     return e * factor_m1 - cu * (cu * phi2(complex_array(0.0, cu)))
 
 
-@dataclass(frozen=True)
-class CurvatureCheck:
-    second_difference: float
-    target: float  # -total_mass
+class CurvatureCheck(Value):
+    """A second difference of Re Psi at 0 and its target, -total_mass."""
+
+    def __init__(self, second_difference: float, target: float):
+        vars(self).update(second_difference=second_difference, target=target)
 
 
 def curvature_check(measure: AccumMeasure) -> CurvatureCheck:

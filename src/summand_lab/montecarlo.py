@@ -6,8 +6,8 @@ SeedSequence(seed, spawn_key=(stream_id,)), so a stream is a pure function of
 output regardless of how many workers execute the chunks. A row's draws are
 planned once from its GroupTable (_RowDraws) and run per chunk into one
 reused buffer: a two-atom group by compare-and-take, a uniform copy scaled
-in place. The streams and roundings are those of the component .sample
-methods, which the tests keep as the reference. Distances to the
+in place. The streams and roundings are those of a per-component draw into
+fresh arrays, which the tests keep as the reference. Distances to the
 predicted limit: exact one-sample Kolmogorov-Smirnov over the distinct sample
 values, and the max empirical-characteristic-function gap on a u-grid, whose
 empirical side is arrays.exp_sums over the whole grid (angle addition with
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,10 +28,10 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .arrays import (
-    _COMPARE_MAX_ATOMS, DISCRETE, GAUSSIAN, UNIFORM, ArrayGenerator, Gaussian, GroupTable, RowSpec,
-    exp_sums,
+    DISCRETE, GAUSSIAN, UNIFORM, ArrayGenerator, Gaussian, GroupTable, RowSpec, exp_sums,
 )
 from .cf import CharFn, GaussianCF, TranslatedPoissonCF, eval_cf
+from .config import Value
 from .normal import ndtr
 
 #: samples per logical substream; chunk j of row index i draws from
@@ -60,8 +59,8 @@ def sample_sums(row: RowSpec, count: int, seed: int, stream_id: int = 0) -> np.n
     from the exact law of its sum, and all Gaussian groups together draw last
     as one N(sum c m, sum c v); the result is a pure function of the two
     integers. The draws go into one buffer of count doubles, reused by every
-    group (see _RowDraws); their order and every rounding are those of the
-    component .sample methods.
+    group (see _RowDraws); their order and every rounding are those of a
+    per-component draw into fresh arrays.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -86,6 +85,10 @@ def sample_sums_chunked(row: RowSpec, count: int, seed: int, base_stream: int = 
 
 # the steps of _RowDraws, one per discrete or uniform group
 _TAKE, _COMPARE, _SEARCH, _MULTINOMIAL, _UNIFORM = range(5)
+#: _RowDraws counts a single copy's atoms by comparison up to this many atoms
+#: and binary-searches above it: on 1e4 unsorted draws the two cost about the
+#: same near 32 atoms, and the comparisons win by 1.7x at 16 atoms and 7x at 2
+_COMPARE_MAX_ATOMS = 32
 
 
 class _RowDraws:
@@ -108,10 +111,11 @@ class _RowDraws:
       buf *= width; buf += lo on one rng.random(out=buf), and c > 1 copies
       add up in a second buffer before they join the total.
 
-    These are the draws, in the order and with the roundings, of
-    FiniteDiscrete.sample (discrete_draws), Uniform.sample (uniform_draws)
-    and the multinomial sum: only the arrays they allocate per group are
-    gone. The Gaussian groups draw last, as one Gaussian.
+    These are the draws, in the order and with the roundings, of the
+    reference samplers in tests/arrayref.py (discrete_draws by inversion,
+    uniform_draws as lo + (hi - lo) u) and of the multinomial sum: only the
+    arrays those allocate per group are gone. The Gaussian groups draw last,
+    as one Gaussian.
     """
 
     def __init__(self, table: GroupTable):
@@ -201,16 +205,14 @@ class _RowDraws:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(Value):
     """A sample as its distinct values, increasing, and how often each occurs.
 
     len() is the sample size, so a Tally stands in for the sample it counts.
     """
 
-    values: np.ndarray
-    counts: np.ndarray
-    size: int
+    def __init__(self, values: np.ndarray, counts: np.ndarray, size: int):
+        vars(self).update(values=values, counts=counts, size=size)
 
     def __len__(self) -> int:
         return self.size
@@ -475,14 +477,12 @@ def tv_binomial_poisson(n: int, p: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedLimit:
-    """A limit with both characteristic function and CDF available."""
+class NamedLimit(Value):
+    """A limit with both characteristic function and CDF available; lattice
+    is the offset b when the CDF jumps only on b + Z."""
 
-    label: str
-    cf: CharFn
-    cdf: Callable | None
-    lattice: float | None = None  # offset b when the CDF jumps only on b + Z
+    def __init__(self, label: str, cf: CharFn, cdf: Callable | None, lattice: float | None = None):
+        vars(self).update(label=label, cf=cf, cdf=cdf, lattice=lattice)
 
 
 def std_gaussian_limit() -> NamedLimit:
@@ -503,29 +503,20 @@ def cf_only_limit(cf: CharFn) -> NamedLimit:
     return NamedLimit("cf", cf, None)
 
 
-@dataclass(frozen=True)
-class SimulationPlan:
-    generator: ArrayGenerator
-    n_list: tuple[int, ...]
-    samples_per_n: int
-    seed: int
-    u_grid: tuple[float, ...]
-    limit: NamedLimit
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "u_grid", tuple(float(u) for u in self.u_grid))
-        if self.samples_per_n < 1:
+class SimulationPlan(Value):
+    def __init__(self, generator: ArrayGenerator, n_list: tuple[int, ...], samples_per_n: int,
+                 seed: int, u_grid: tuple[float, ...], limit: NamedLimit):
+        n_list = tuple(int(n) for n in n_list)
+        u_grid = tuple(float(u) for u in u_grid)
+        if samples_per_n < 1:
             raise ValueError("samples_per_n must be >= 1")
+        vars(self).update(generator=generator, n_list=n_list, samples_per_n=samples_per_n,
+                          seed=seed, u_grid=u_grid, limit=limit)
 
 
-@dataclass(frozen=True)
-class SimResult:
-    n: int
-    ks: float | None
-    ecf: float
-    samples_per_n: int
-    seed: int
+class SimResult(Value):
+    def __init__(self, n: int, ks: float | None, ecf: float, samples_per_n: int, seed: int):
+        vars(self).update(n=n, ks=ks, ecf=ecf, samples_per_n=samples_per_n, seed=seed)
 
 
 def run_simulation(plan: SimulationPlan, keep_samples: bool = False):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from arrayref import generator_to_json, sample
 from summand_lab import (
     ArraySpecError,
     BernoulliPoisson,
@@ -27,7 +28,6 @@ from summand_lab.arrays import (
     component_to_json,
     exp_sums,
     generator_from_json,
-    generator_to_json,
     grid_step,
 )
 from summand_lab.cli import _parse_u_grid
@@ -233,6 +233,20 @@ def test_explicit_array_lookup(rademacher):
         gen.row(5)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 5])
+def test_check_row_refuses_what_row_refuses(rademacher_gen, rademacher, n):
+    explicit = ExplicitArray((RowSpec(3, ((rademacher, 3),)),))
+    for gen in (rademacher_gen, BernoulliPoisson(2.0), explicit):
+        try:
+            gen.row(n)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as checked:
+                gen.check_row(n)
+            assert str(checked.value) == str(exc)
+        else:
+            gen.check_row(n)
+
+
 def test_json_round_trip(rademacher_gen, bernoulli_gen, rademacher):
     for gen in (rademacher_gen, bernoulli_gen, ExplicitArray((RowSpec(2, ((rademacher, 2),)),))):
         doc = generator_to_json(gen)
@@ -267,7 +281,7 @@ def _philox(key):
 
 
 def _searchsorted_sample(dist, rng, size):
-    """The binary-search inversion that FiniteDiscrete.sample must reproduce."""
+    """The binary-search inversion that arrayref.sample must reproduce."""
     sites = np.array([x for x, _ in dist.atoms])
     cum = np.cumsum([p for _, p in dist.atoms])
     idx = np.searchsorted(cum, rng.random(size), side="right")
@@ -300,14 +314,14 @@ def test_finite_discrete_sample_matches_searchsorted(probs, size):
     dist = FiniteDiscrete(_atoms(probs))
     for key in (1, 2, 3):
         got_rng, ref_rng = _philox(key), _philox(key)
-        got = dist.sample(got_rng, size)
+        got = sample(dist, got_rng, size)
         ref = _searchsorted_sample(dist, ref_rng, size)
         assert got.tobytes() == ref.tobytes()
         # the same uniforms were consumed: the streams continue in step
         assert got_rng.random() == ref_rng.random()
     zero = [x for x, p in dist.atoms if p == 0.0]
     if zero:
-        assert not np.isin(dist.sample(_philox(9), 20000), zero).any()
+        assert not np.isin(sample(dist, _philox(9), 20000), zero).any()
 
 
 def test_gaussian_sampler_moments():

@@ -442,6 +442,16 @@ REFUSED = {
         _simulate({"kind": "cf", "spec": {"family": "poisson_type_product", "params": {
             "terms": [{"drift": 0.0, "intensity": True, "site": 1.0}]}}}),
         "/limit/spec/params/terms/0/intensity: expected a number, got True"),
+    # an n_list entry that names no row is refused before any row is built
+    "n-list-without-explicit-row": (
+        _simulate({"kind": "std_gaussian"}, n_list=[3, 2], array={"generator": "explicit", "rows": [
+            {"n": 2, "components": [{"kind": "gaussian", "mean": 0.0, "var": 0.5}]}]}),
+        "/n_list/0: no explicit row for n=3; available: [2]"),
+    "n-list-below-one": (_hypotheses(n_list=[0, 10]), "/n_list/0: row index must be >= 1"),
+    "n-list-past-bernoulli-lambda": (
+        {"task": "verdict-poisson", "array": {"generator": "bernoulli_poisson", "lambda": 4.0},
+         "n_list": [2, 10], "eps_list": [0.5], "target": {"b": 0.0, "lambda": 4.0}},
+        "/n_list/0: row 2 would need success probability 2.0 > 1"),
 }
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cfref
+from arrayref import sample
 
 from summand_lab import (
     AccumMeasure,
@@ -115,9 +116,9 @@ def ref_sample_sums(row, count, seed, stream_id):
             probs = np.array([p for _, p in comp.atoms])
             total += rng.multinomial(copies, probs / probs.sum(), size=count) @ sites
         else:
-            draws = comp.sample(rng, count)
+            draws = sample(comp, rng, count)
             for _ in range(copies - 1):
-                draws += comp.sample(rng, count)
+                draws += sample(comp, rng, count)
             total += draws
     if gauss_v:
         total += Gaussian(math.fsum(gauss_m), math.fsum(gauss_v)).sample(rng, count)
