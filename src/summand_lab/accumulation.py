@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import (
-    DISCRETE, GAUSSIAN, UNIFORM, ArraySpecError, ComponentDist, FiniteDiscrete, GroupTable, RowSpec,
-    columnar, component_from_json, component_key, component_to_json, json_number, refuse_unknown,
+    DISCRETE, GAUSSIAN, UNIFORM, ArraySpecError, ComponentDist, EntryError, FiniteDiscrete,
+    GroupTable, RowSpec, columnar, component_from_json, component_key, component_to_json,
+    json_number, refuse_unknown,
 )
 from .config import Value
 from .jsontext import csv_text, json_text
@@ -26,7 +27,7 @@ from .jsontext import csv_text, json_text
 ATOM_MERGE = 1e-14
 
 
-class DiscontinuityPointError(ValueError):
+class DiscontinuityPointError(EntryError):
     """A grid point sits on (or too near) a discontinuity of the limit."""
 
 
@@ -247,9 +248,10 @@ def preweak_distance(
     if not grid:
         raise ValueError("grid must be nonempty")
     sites = {s for s, _ in limit.atoms}
-    for x in grid:
+    for i, x in enumerate(grid):
         if x in sites:
-            raise DiscontinuityPointError(f"grid point {x} is a discontinuity point of the limit")
+            raise DiscontinuityPointError(
+                f"grid point {x} is a discontinuity point of the limit", "grid", i)
     out = []
     for m in measures:
         dev = max(abs(m.cdf(x) - limit.cdf(x)) for x in grid)
@@ -301,7 +303,13 @@ def measure_from_json(obj, path: str = "") -> AccumMeasure:
         if isinstance(dist, FiniteDiscrete):
             raise ArraySpecError(f"{ppath}/dist: discrete components enter as atoms, not pieces")
         parsed_pieces.append((weight, dist))
-    return AccumMeasure(atoms=tuple(parsed_atoms), pieces=tuple(parsed_pieces))
+    try:
+        measure = AccumMeasure(atoms=tuple(parsed_atoms), pieces=tuple(parsed_pieces))
+        if math.isfinite(measure.total_mass):
+            return measure
+    except OverflowError:  # of fsum, over finite masses
+        pass
+    raise ArraySpecError(f"{path or '/'}: the total mass overflows a double")
 
 
 def export_measure_csv(m: AccumMeasure) -> tuple[str, str]:

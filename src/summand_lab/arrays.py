@@ -39,6 +39,14 @@ class ArraySpecError(ValueError):
     """An array JSON document violates the schema; message carries a JSON pointer."""
 
 
+class EntryError(ValueError):
+    """An entry of a list argument is refused; pointer names it, /name/index."""
+
+    def __init__(self, message: str, name: str, index: int):
+        super().__init__(message)
+        self.pointer = f"/{name}/{index}"
+
+
 # ---------------------------------------------------------------------------
 # Component distributions
 # ---------------------------------------------------------------------------
@@ -160,13 +168,16 @@ class Gaussian(ComponentDist):
         sd = math.sqrt(self.v)
         z = (x - self.m) / sd
         phi = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-        return (self.m * self.m + self.v) * ndtr_scalar(z) - sd * (x + self.m) * phi
+        head = (self.m * self.m + self.v) * ndtr_scalar(z)
+        return head - sd * (x + self.m) * phi if phi else head
 
     def partial_m3(self, x):
         sd = math.sqrt(self.v)
         z = (x - self.m) / sd
         phi = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
         head = (self.m ** 3 + 3.0 * self.m * self.v) * ndtr_scalar(z)
+        if not phi:  # far in a tail; as in partial_m2, 0 * inf would read nan
+            return head
         return head - phi * (3.0 * self.m * self.m * sd + 3.0 * self.m * self.v * z + sd ** 3 * (z * z + 2.0))
 
     def tail_m2(self, center, eps, inclusive=False):
@@ -728,10 +739,23 @@ class StandardizedIid(ArrayGenerator):
             raise ValueError("StandardizedIid base needs positive variance")
         vars(self).update(base=base)
 
-    def row(self, n):
-        self.check_row(n)
+    def check_row(self, n):
+        self._copy(n)
+
+    def _copy(self, n: int) -> ComponentDist:
+        """base / s_n, refused where a site or parameter (a Gaussian's variance
+        is about 1 / n) passes _MAX_SCALE, as the JSON parser refuses one."""
+        super().check_row(n)
         comp = self.base.scaled(math.sqrt(n * self.base.var()))
-        return RowSpec(n, ((comp, n),))
+        key = component_key(comp)
+        big = max(abs(x) for x in ([s for s, _ in key[1]] if key[0] == DISCRETE else key[1:]))
+        if not big <= _MAX_SCALE:
+            raise ValueError(f"row {n} scales a value of the base to {big!r}, past "
+                             f"{_MAX_SCALE!r}; its moments would not fit in a double")
+        return comp
+
+    def row(self, n):
+        return RowSpec(n, ((self._copy(n), n),))
 
 
 class BernoulliPoisson(ArrayGenerator):
@@ -781,8 +805,9 @@ class ExplicitArray(ArrayGenerator):
 class HypothesisReport(Value):
     """Raw bounded-variance / variance-convergence / negligibility statistics.
 
-    markov_bound holds eps^-2 * max_k E[X_{k,n}^2]; for centered rows this is
-    the classical Chebyshev envelope for the per-term exceedance probability.
+    markov_bound holds eps^-2 * max_k E[X_{k,n}^2], capped at the largest
+    double; for centered rows this is the classical Chebyshev envelope for
+    the per-term exceedance probability.
     u_table and markov_bound are indexed [i_eps][i_n], and uan_final holds U
     at the largest n, per eps.
     """
@@ -821,13 +846,14 @@ class HypothesisReport(Value):
 
 def check_lists(n_list, eps_list) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """n_list as a nonempty, strictly increasing tuple of ints and eps_list as
-    a tuple of positive floats; hypothesis_check and the verdicts check their
-    lists here."""
+    a tuple of positive floats; hypothesis_check, the verdicts and
+    SimulationPlan check their lists here."""
     n_list = tuple(int(n) for n in n_list)
     if not n_list:
         raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    for i in range(1, len(n_list)):
+        if n_list[i] <= n_list[i - 1]:
+            raise EntryError("n_list must be strictly increasing", "n_list", i)
     eps_list = tuple(float(e) for e in eps_list)
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
@@ -859,7 +885,8 @@ def hypothesis_check(
         b.append(row_b)
         a.append(row_a)
         for eps, u, ucol, bcol in zip(eps_list, row_u, u_cols, bound_cols):
-            bound = max_m2 / (eps * eps)
+            # a bound of a probability still holds capped at the largest double
+            bound = min(max_m2 / (eps * eps), _MAX_DOUBLE) if eps * eps else _MAX_DOUBLE
             ucol.append(u)
             bcol.append(bound)
             if u > bound + 1e-12:
@@ -1007,12 +1034,10 @@ def json_number(v, pointer: str, integer: bool = False):
     if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ArraySpecError(f"{pointer}: expected {kind}, got {v!r}")
-    if integer:
-        return v
     # NaN, the infinities and integers past the largest double fail this test
     if not abs(v) <= _MAX_DOUBLE:
         raise ArraySpecError(f"{pointer}: not a finite double")
-    return float(v)
+    return v if integer else float(v)
 
 
 def _req_num(obj: dict, key: str, path: str) -> float:

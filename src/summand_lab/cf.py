@@ -55,7 +55,8 @@ class CharFn(Value):
     @classmethod
     def from_params(cls, params: dict, pointer: str) -> "CharFn":
         """The spec of a JSON params object; here, one number per PARAMS pair."""
-        return cls(**{attr: _param(params, key, pointer) for key, attr in cls.PARAMS})
+        return _made(cls, pointer,
+                     **{attr: _param(params, key, pointer) for key, attr in cls.PARAMS})
 
 
 class Degenerate(CharFn):
@@ -201,7 +202,7 @@ def _term(obj, pointer: str) -> PoissonTypeTerm:
     left out."""
     values = [_param(obj, k, pointer) for k in ("drift", "intensity", "site")]
     refuse_unknown(obj, PoissonTypeTerm.FIELDS, pointer)
-    return PoissonTypeTerm(*values, _param(obj, "shift", pointer, default=0.0))
+    return _made(PoissonTypeTerm, pointer, *values, _param(obj, "shift", pointer, default=0.0))
 
 
 class KolmogorovCF(CharFn):
@@ -244,8 +245,8 @@ class ProductCF(CharFn):
 
     @classmethod
     def from_params(cls, params, pointer):
-        return cls(tuple(from_json(f, f"{pointer}/factors/{i}")
-                         for i, f in enumerate(params["factors"])))
+        return _made(cls, pointer, tuple(from_json(f, f"{pointer}/factors/{i}")
+                                         for i, f in enumerate(params["factors"])))
 
 
 class PowerCF(CharFn):
@@ -268,7 +269,7 @@ class PowerCF(CharFn):
         p = _param(params, "p", pointer, integer=True)
         if p < 1:
             raise CharFnError(f"{pointer}/p: expected an integer >= 1, got {p}")
-        return cls(from_json(params["base"], f"{pointer}/base"), p)
+        return _made(cls, pointer, from_json(params["base"], f"{pointer}/base"), p)
 
 
 class ConjugateCF(CharFn):
@@ -353,6 +354,14 @@ def _param(obj: dict, key: str, pointer: str, default: float | None = None, inte
         return json_number(obj.get(key, default), f"{pointer}/{key}", integer)
     except ArraySpecError as exc:
         raise CharFnError(str(exc)) from None
+
+
+def _made(cls, pointer: str, *args, **kwargs):
+    """cls(*args, **kwargs), its refusal named by pointer; a nested spec names its own."""
+    try:
+        return cls(*args, **kwargs)
+    except CharFnError as exc:
+        raise type(exc)(f"{pointer}: {exc}") from None
 
 
 def from_json(obj, path: str = "") -> CharFn:

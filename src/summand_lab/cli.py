@@ -1,6 +1,12 @@
 """Config-driven front end: one JSON config in, report + CSV tables + SVG
 plots out. Exit code 0 on pass, 2 on a failed verdict, 3 on any error.
 
+parse_config reads the config once, each field by its own parser (TASKS),
+and refuses the first fault with its JSON pointer; the task runners read
+only parsed values and name the pointer of a library check that refuses
+one. Every artifact is rendered before the first is written, so a refused
+run leaves no output.
+
 Flags are deliberately minimal (--config, --out-dir, --seed-override,
 --quiet); everything else lives in the config file. Outputs are byte-stable
 for a fixed (config, seed): no timestamps, repr-exact floats, fixed plot
@@ -25,127 +31,120 @@ import numpy as np
 
 from .accumulation import AccumMeasure, build_accum, export_measure_csv, measure_from_json
 from .arrays import (
-    ArrayGenerator, ArraySpecError, check_lists, generator_from_json, hypothesis_check, json_number,
+    ArrayGenerator, ArraySpecError, EntryError, generator_from_json, hypothesis_check, json_number,
     refuse_unknown,
 )
 from .cf import CharFnError, from_json as cf_from_json, to_json as cf_to_json
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .criteria import VerdictReport, gaussian_verdict, general_verdict, poisson_verdict
-from .exponent import curvature_check, exponent_eval, poisson_product_approx
+from .criteria import (
+    NonCenteredRowError, VerdictReport, gaussian_verdict, general_verdict, poisson_verdict,
+)
+from .exponent import MassAtZeroError, curvature_check, exponent_eval, poisson_product_approx
 from .jsontext import Verbatim, csv_text, json_text
 from .montecarlo import (
-    SimulationPlan,
-    cf_only_limit,
-    run_simulation,
-    std_gaussian_limit,
-    translated_poisson_limit,
+    SimulationPlan, cf_only_limit, run_simulation, std_gaussian_limit, translated_poisson_limit,
 )
 from .svgplot import PlotError, line_plot_svg
 
-#: fields every task accepts besides its own
-_COMMON = ("task", "out_dir", "seed", "plots", "tolerances")
-#: fields holding a JSON integer
-_COUNTS = ("seed", "samples_per_n")
-#: fields holding a list of JSON numbers: name -> whether its entries are integers
-_LISTS = {"n_list": True, "eps_list": False, "grid": False, "mesh_cells": True}
-#: fields holding a JSON boolean
-_FLAGS = ("plots", "dump_samples")
+#: the most points a {start, stop, step} u_grid may ask for
+MAX_GRID_POINTS = 10 ** 6
 
 
 class ConfigError(ValueError):
     """Config schema violation; message starts with a JSON pointer."""
 
 
-def validate_config(cfg) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError("/: config must be a JSON object")
-    task = cfg.get("task")
-    if task is None:
-        raise ConfigError("/task: missing required field")
-    if task not in TASKS:
-        raise ConfigError(f"/task: unknown task {task!r}; expected one of {list(TASKS)}")
-    spec = TASKS[task]
-    for field in spec.required:
-        if field not in cfg:
-            raise ConfigError(f"/{field}: required for task {task!r}")
-    allowed = set(_COMMON) | set(spec.required) | set(spec.optional)
-    for field in cfg:
-        if field not in allowed:
-            raise ConfigError(f"/{field}: unknown field for task {task!r}")
-    if task == "psi-sweep" or task == "poisson-approx":
-        meas = cfg.get("measure")
-        from_array = isinstance(meas, dict) and meas.get("kind") == "from_array"
-        if from_array and "array" not in cfg:
-            raise ConfigError("/array: required when /measure/kind is 'from_array'")
-        if not from_array and "array" in cfg:
-            raise ConfigError("/array: read only when /measure/kind is 'from_array'")
-    for field in _COUNTS:
-        if field in cfg:
-            json_number(cfg[field], f"/{field}", integer=True)
-    for field, integer in _LISTS.items():
-        if field in cfg:
-            _numbers(cfg[field], f"/{field}", integer)
-    for field in _FLAGS:
-        if field in cfg:
-            _flag(cfg[field], f"/{field}")
-    # the component parsers check every number under /array themselves
-    bad = _first_non_finite({k: v for k, v in cfg.items() if k != "array"})
-    if bad is not None:
-        raise ConfigError(f"{bad}: number too large for a double")
-
-
 # ---------------------------------------------------------------------------
-# Field parsers
+# Field parsers: each takes (value, pointer), returns the value the runners
+# read, and refuses a malformed one naming the pointer of the value at fault
+# (the entry of a list, the field of a scalar)
 # ---------------------------------------------------------------------------
 
 
-def _flag(v, pointer: str) -> bool:
-    """A JSON boolean; a string such as "no" is refused, not read as true."""
-    if not isinstance(v, bool):
-        raise ConfigError(f"{pointer}: expected a boolean, got {v!r}")
+def _of_type(cls: type, kind: str) -> Callable:
+    """The parser of a JSON value of one type: a string such as "no" is
+    refused as a boolean, not read as true."""
+    def parse(v, pointer: str):
+        if not isinstance(v, cls):
+            raise ConfigError(f"{pointer}: expected {kind}, got {v!r}")
+        return v
+    return parse
+
+
+_flag, _out_dir = _of_type(bool, "a boolean"), _of_type(str, "a string")
+
+
+def _count(v, pointer: str, least: int | None = None) -> int:
+    n = json_number(v, pointer, integer=True)
+    if least is not None and n < least:
+        raise ConfigError(f"{pointer}: must be >= {least}, got {n}")
+    return n
+
+
+def _positive(v, pointer: str) -> float:
+    x = json_number(v, pointer)
+    if not x > 0.0:
+        raise ConfigError(f"{pointer}: must be positive, got {x!r}")
+    return x
+
+
+def _as_written(v, pointer: str):
+    """A JSON number, passed on as written: the report echoes it."""
+    json_number(v, pointer)
     return v
 
 
-def _optional_number(v, pointer: str) -> float | None:
-    """A JSON number, or None where the field is absent or null."""
-    return None if v is None else json_number(v, pointer)
-
-
-def _numbers(obj, pointer: str, integer: bool = False) -> list:
-    """A JSON list whose entries pass json_number."""
-    if not isinstance(obj, list):
-        raise ConfigError(f"{pointer}: expected a list")
-    return [json_number(x, f"{pointer}/{i}", integer) for i, x in enumerate(obj)]
+def _list_of(entry: Callable) -> Callable:
+    """The parser of a nonempty JSON list whose entries pass entry(value, pointer)."""
+    def parse(obj, pointer: str) -> tuple:
+        if not isinstance(obj, list) or not obj:
+            raise ConfigError(f"{pointer}: expected a nonempty list")
+        return tuple(entry(x, f"{pointer}/{i}") for i, x in enumerate(obj))
+    return parse
 
 
 def _parse_u_grid(obj, pointer: str) -> tuple[float, ...]:
     if isinstance(obj, list):
-        if not obj:
-            raise ConfigError(f"{pointer}: must be nonempty")
-        return tuple(_numbers(obj, pointer))
+        return _list_of(json_number)(obj, pointer)
     if isinstance(obj, dict):
         refuse_unknown(obj, ("start", "stop", "step"), pointer)
-        try:
-            start, stop, step = (
-                json_number(obj[k], f"{pointer}/{k}") for k in ("start", "stop", "step")
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{pointer}/{exc.args[0]}: missing required field") from exc
+        missing = [k for k in ("start", "stop", "step") if k not in obj]
+        if missing:
+            raise ConfigError(f"{pointer}/{missing[0]}: missing required field")
+        start, stop, step = (json_number(obj[k], f"{pointer}/{k}")
+                             for k in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{pointer}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
-        return tuple(start + i * step for i in range(count))
+        # refused before anything is allocated; a span that overflows is inf
+        steps = (stop - start) / step
+        if not steps + 0.5 < MAX_GRID_POINTS:
+            raise ConfigError(f"{pointer}: (stop - start) / step is {steps!r}; "
+                              f"a grid holds at most {MAX_GRID_POINTS} points")
+        grid = tuple(start + i * step for i in range(int(math.floor(steps + 0.5)) + 1))
+        if not abs(grid[-1]) <= sys.float_info.max:
+            raise ConfigError(f"{pointer}: the last point, start + {len(grid) - 1} step, "
+                              "overflows a double")
+        return grid
     raise ConfigError(f"{pointer}: expected a list or {{start, stop, step}}")
 
 
-def _parse_tolerances(cfg) -> ToleranceConfig:
-    overrides = cfg.get("tolerances")
-    if overrides is None:
-        return DEFAULT_TOLERANCES
-    if not isinstance(overrides, dict):
-        raise ConfigError("/tolerances: expected an object")
-    refuse_unknown(overrides, ToleranceConfig.FIELDS, "/tolerances")
-    return ToleranceConfig(**{k: json_number(v, f"/tolerances/{k}") for k, v in overrides.items()})
+def _parse_tolerances(obj, pointer: str) -> ToleranceConfig:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{pointer}: expected an object")
+    refuse_unknown(obj, ToleranceConfig.FIELDS, pointer)
+    return ToleranceConfig(**{k: json_number(v, f"{pointer}/{k}") for k, v in obj.items()})
+
+
+def _parse_array(obj, pointer: str) -> ArrayGenerator:
+    # looked up per call: a profiler that re-binds the name (bench/benchlib) sees it
+    return generator_from_json(obj, pointer)
+
+
+def _parse_target(obj, pointer: str) -> tuple[float, float]:
+    if not isinstance(obj, dict) or "b" not in obj or "lambda" not in obj:
+        raise ConfigError(f"{pointer}: expected an object with 'b' and 'lambda'")
+    refuse_unknown(obj, ("b", "lambda"), pointer)
+    return json_number(obj["b"], f"{pointer}/b"), _positive(obj["lambda"], f"{pointer}/lambda")
 
 
 #: the one-atom measure kinds: kind -> (site, field holding the mass)
@@ -167,24 +166,23 @@ def _parse_measure(obj, pointer: str) -> AccumMeasure:
         raise ConfigError(f"{pointer}/kind: expected dirac_zero | scaled_dirac_one | explicit")
     site, field = _ONE_ATOM[kind]
     refuse_unknown(obj, ("kind", field), pointer)
-    mass = json_number(obj.get(field, 1.0), f"{pointer}/{field}")
-    if not mass > 0.0:
-        raise ConfigError(f"{pointer}/{field}: must be positive, got {mass!r}")
-    return AccumMeasure(atoms=((site, mass),))
+    return AccumMeasure(atoms=((site, _positive(obj.get(field, 1.0), f"{pointer}/{field}")),))
 
 
-def _sweep_measure(cfg) -> AccumMeasure:
+class _FromArray(NamedTuple):
+    """A from_array measure before /array is read: row n, centred or not."""
+    n: int
+    centered: bool
+
+
+def _sweep_measure(obj, pointer: str) -> AccumMeasure | _FromArray:
     """/measure of psi-sweep and poisson-approx: a measure form, or from_array,
-    the accumulation measure of row n of /array."""
-    obj = cfg["measure"]
+    which parse_config builds from row n of /array."""
     if not (isinstance(obj, dict) and obj.get("kind") == "from_array"):
-        return _parse_measure(obj, "/measure")
-    refuse_unknown(obj, ("kind", "n", "centered"), "/measure")
-    gen = generator_from_json(cfg["array"], "/array")
-    n = json_number(obj.get("n"), "/measure/n", integer=True)
-    if n < 1:
-        raise ConfigError("/measure/n: expected a positive integer")
-    return build_accum(gen.row(n), _flag(obj.get("centered", True), "/measure/centered"))
+        return _parse_measure(obj, pointer)
+    refuse_unknown(obj, ("kind", "n", "centered"), pointer)
+    return _FromArray(json_number(obj.get("n"), f"{pointer}/n", integer=True),
+                      _flag(obj.get("centered", True), f"{pointer}/centered"))
 
 
 def _parse_sim_limit(obj, pointer: str):
@@ -196,10 +194,8 @@ def _parse_sim_limit(obj, pointer: str):
         return std_gaussian_limit()
     if kind == "translated_poisson":
         refuse_unknown(obj, ("kind", "b", "lambda"), pointer)
-        return translated_poisson_limit(
-            json_number(obj.get("b", 0.0), f"{pointer}/b"),
-            json_number(obj.get("lambda", 1.0), f"{pointer}/lambda"),
-        )
+        return translated_poisson_limit(json_number(obj.get("b", 0.0), f"{pointer}/b"),
+                                        _positive(obj.get("lambda", 1.0), f"{pointer}/lambda"))
     if kind == "cf":
         refuse_unknown(obj, ("kind", "spec"), pointer)
         if "spec" not in obj:
@@ -208,56 +204,44 @@ def _parse_sim_limit(obj, pointer: str):
     raise ConfigError(f"{pointer}/kind: expected std_gaussian | translated_poisson | cf")
 
 
-# ---------------------------------------------------------------------------
-# Task runners: each returns (passed, results, tables, plots, extra_files)
-# tables: list of (relpath, header, rows); plots: list of (relpath, series,
-# title, xlabel, ylabel), rendered by main only when /plots is on
-# ---------------------------------------------------------------------------
-
-
-def _log_n(n_list):
-    return [math.log10(n) for n in n_list]
-
-
-def _array(cfg) -> ArrayGenerator:
-    """/array, with every /n_list entry checked to name one of its rows."""
-    gen = generator_from_json(cfg["array"], "/array")
-    for i, n in enumerate(cfg["n_list"]):
+def _check_rows(v: dict) -> None:
+    """Every /n_list entry and a from_array /measure/n name a row of /array,
+    each refused with its pointer before any row is built; a from_array
+    /measure is then built from its row. The other rules that read two
+    fields are the library's, named by the task runners or by main."""
+    gen, measure = v.get("array"), v.get("measure")
+    rows = [(f"/n_list/{i}", n) for i, n in enumerate(v.get("n_list", ()))]
+    if isinstance(measure, _FromArray):
+        rows.append(("/measure/n", measure.n))
+    for pointer, n in rows:
         try:
             gen.check_row(n)
         except ValueError as exc:
-            raise ConfigError(f"/n_list/{i}: {exc}") from None
-    return gen
+            raise ConfigError(f"{pointer}: {exc}") from None
+    if isinstance(measure, _FromArray):
+        v["measure"] = build_accum(gen.row(measure.n), measure.centered)
 
 
-def _run_hypotheses(cfg, tolerances, seed):
-    gen = _array(cfg)
-    # checked, but passed on as written: the report echoes it
-    _optional_number(cfg.get("c_target"), "/c_target")
-    n_list, eps_list = check_lists(cfg["n_list"], cfg["eps_list"])
-    hyp = hypothesis_check(
-        [gen.row(n) for n in n_list],
-        eps_list,
-        c_target=cfg.get("c_target"),
-        tol=tolerances.exact_stat,
-    )
+# ---------------------------------------------------------------------------
+# Task runners: each reads the parsed config and returns (passed, results,
+# tables, plots, extra_files). tables: list of (relpath, header, rows);
+# plots: list of (relpath, series, title, xlabel, ylabel), rendered by main
+# only when /plots is on
+# ---------------------------------------------------------------------------
+
+
+def _run_hypotheses(v):
+    hyp = hypothesis_check([v["array"].row(n) for n in v["n_list"]], v["eps_list"],
+                           c_target=v["c_target"], tol=v["tolerances"].exact_stat)
     tables = [
-        (
-            "tables/stats.csv",
-            ["n", "mv", "b", "a"],
-            [[n, mv, b, a] for n, mv, b, a in zip(hyp.n_list, hyp.mv, hyp.b, hyp.a)],
-        ),
-        (
-            "tables/negligibility.csv",
-            ["n", "eps", "u", "markov_bound"],
-            [
-                [n, eps, u, bound]
-                for eps, ucol, bcol in zip(hyp.eps_list, hyp.u_table, hyp.markov_bound)
-                for n, u, bound in zip(hyp.n_list, ucol, bcol)
-            ],
-        ),
+        ("tables/stats.csv", ["n", "mv", "b", "a"],
+         [[n, mv, b, a] for n, mv, b, a in zip(hyp.n_list, hyp.mv, hyp.b, hyp.a)]),
+        ("tables/negligibility.csv", ["n", "eps", "u", "markov_bound"],
+         [[n, eps, u, bound]
+          for eps, ucol, bcol in zip(hyp.eps_list, hyp.u_table, hyp.markov_bound)
+          for n, u, bound in zip(hyp.n_list, ucol, bcol)]),
     ]
-    xs = _log_n(hyp.n_list)
+    xs = list(map(math.log10, hyp.n_list))
     plots = [
         ("plots/variance_stats.svg", [("MV(n)", xs, hyp.mv), ("B_n", xs, hyp.b)],
          "variance statistics", "log10 n", "value"),
@@ -268,19 +252,12 @@ def _run_hypotheses(cfg, tolerances, seed):
     return True, {"hypothesis": hyp.to_dict()}, tables, plots, []
 
 
-def _verdict_tables(rep: VerdictReport):
-    tables = [
-        (
-            "tables/stats.csv",
-            ["n"] + list(rep.columns),
-            [
-                [n] + [rep.columns[k][i] for k in rep.columns]
-                for i, n in enumerate(rep.n_list)
-            ],
-        )
-    ]
+def _verdict_outputs(rep: VerdictReport, extra=()):
+    """The runner's return value for a verdict report: its tables and plots."""
+    tables = [("tables/stats.csv", ["n", *rep.columns],
+               [[n] + [rep.columns[k][i] for k in rep.columns] for i, n in enumerate(rep.n_list)])]
     plots = []
-    xs = _log_n(rep.n_list)
+    xs = list(map(math.log10, rep.n_list))
     for name, table in rep.series.items():
         header = ["n"] + [f"eps={eps!r}" for eps in table]
         rows = [[n] + [table[eps][i] for eps in table] for i, n in enumerate(rep.n_list)]
@@ -288,51 +265,35 @@ def _verdict_tables(rep: VerdictReport):
         plots.append((f"plots/{name}.svg",
                       [(f"eps={eps!r}", xs, col) for eps, col in table.items()],
                       name, "log10 n", name))
-    series = [(k, xs, v) for k, v in rep.columns.items()]
-    plots.append(("plots/stats.svg", series, "per-row statistics", "log10 n", "value"))
-    return tables, plots
+    plots.append(("plots/stats.svg", [(k, xs, col) for k, col in rep.columns.items()],
+                  "per-row statistics", "log10 n", "value"))
+    results = {"verdict": rep.to_dict(), "summary_text": rep.to_text()}
+    return rep.passed, results, tables, plots, list(extra)
 
 
-def _run_verdict_gaussian(cfg, tolerances, seed):
-    gen = _array(cfg)
-    rep = gaussian_verdict(gen, cfg["n_list"], cfg["eps_list"], tolerances)
-    tables, plots = _verdict_tables(rep)
-    return rep.passed, {"verdict": rep.to_dict(), "summary_text": rep.to_text()}, tables, plots, []
+def _run_verdict_gaussian(v):
+    try:
+        rep = gaussian_verdict(v["array"], v["n_list"], v["eps_list"], v["tolerances"])
+    except NonCenteredRowError as exc:
+        raise ConfigError(f"/array: {exc}") from None
+    return _verdict_outputs(rep)
 
 
-def _run_verdict_poisson(cfg, tolerances, seed):
-    gen = _array(cfg)
-    target = cfg["target"]
-    if not isinstance(target, dict) or "b" not in target or "lambda" not in target:
-        raise ConfigError("/target: expected an object with 'b' and 'lambda'")
-    if len(target) != 2:
-        refuse_unknown(target, ("b", "lambda"), "/target")
-    b, lam = (json_number(target[k], f"/target/{k}") for k in ("b", "lambda"))
-    rep = poisson_verdict(gen, cfg["n_list"], cfg["eps_list"], (b, lam), tolerances)
-    tables, plots = _verdict_tables(rep)
-    return rep.passed, {"verdict": rep.to_dict(), "summary_text": rep.to_text()}, tables, plots, []
+def _run_verdict_poisson(v):
+    return _verdict_outputs(
+        poisson_verdict(v["array"], v["n_list"], v["eps_list"], v["target"], v["tolerances"]))
 
 
-def _run_verdict_general(cfg, tolerances, seed):
-    gen = _array(cfg)
-    rep = general_verdict(
-        gen,
-        cfg["n_list"],
-        _parse_measure(cfg["limit"], "/limit"),
-        _optional_number(cfg.get("shift_target"), "/shift_target"),
-        [float(x) for x in cfg["grid"]],
-        tolerances,
-        eps_list=[float(e) for e in cfg.get("eps_list", [0.5])],
-    )
-    tables, plots = _verdict_tables(rep)
+def _run_verdict_general(v):
+    rep = general_verdict(v["array"], v["n_list"], v["limit"], v["shift_target"], v["grid"],
+                          v["tolerances"], eps_list=v["eps_list"])
     measure_csv, header = export_measure_csv(rep.accum_measure)
-    extra = [("tables/accum_measure.csv", measure_csv), ("tables/accum_measure.json", header)]
-    return rep.passed, {"verdict": rep.to_dict(), "summary_text": rep.to_text()}, tables, plots, extra
+    return _verdict_outputs(
+        rep, [("tables/accum_measure.csv", measure_csv), ("tables/accum_measure.json", header)])
 
 
-def _run_psi_sweep(cfg, tolerances, seed):
-    measure = _sweep_measure(cfg)
-    u_grid = _parse_u_grid(cfg["u_grid"], "/u_grid")
+def _run_psi_sweep(v):
+    measure, u_grid = v["measure"], v["u_grid"]
     psi = exponent_eval(measure, u_grid)
     re, im = psi.real.tolist(), psi.imag.tolist()
     tables = [("tables/psi_sweep.csv", ["u", "re", "im"], list(map(list, zip(u_grid, re, im))))]
@@ -346,53 +307,39 @@ def _run_psi_sweep(cfg, tolerances, seed):
     return True, results, tables, plots, extra
 
 
-def _run_poisson_approx(cfg, tolerances, seed):
-    measure = _sweep_measure(cfg)
-    u_grid = _parse_u_grid(cfg["u_grid"], "/u_grid")
-    window = json_number(cfg["window"], "/window")
-    cells = cfg["mesh_cells"]
-    if not cells or min(cells) < 2:
-        raise ConfigError("/mesh_cells: expected a nonempty list of integers >= 2")
+def _run_poisson_approx(v):
+    measure, u_grid, window = v["measure"], v["u_grid"], v["window"]
     rows = []
     target = np.exp(exponent_eval(measure, u_grid))
-    for count in cells:
-        mesh = [-window + 2.0 * window * i / count for i in range(count + 1)]
-        last_product, sup_error = poisson_product_approx(measure, window, mesh)
+    for i, count in enumerate(v["mesh_cells"]):
+        mesh = [-window + 2.0 * window * j / count for j in range(count + 1)]
+        try:
+            last_product, sup_error = poisson_product_approx(measure, window, mesh)
+        except MassAtZeroError as exc:
+            raise ConfigError(f"/measure: {exc}") from None
+        except ValueError as exc:  # a mesh the window cannot build, or a MeshRefinementError
+            raise ConfigError(f"/mesh_cells/{i}: {exc}") from None
         rows.append([count, sup_error(u_grid, target)])
     tables = [("tables/approx_error.csv", ["mesh_cells", "sup_error"], rows)]
     plots = [("plots/approx_error.svg",
               [("sup error", [math.log10(r[0]) for r in rows], [r[1] for r in rows])],
               "Poisson-type product error", "log10 mesh cells", "sup |exp(S) - exp(Psi)|")]
-    extra = [
-        (
-            "poisson_product.json",
-            json_text(cf_to_json(last_product)) + "\n",
-        )
-    ]
+    extra = [("poisson_product.json", json_text(cf_to_json(last_product)) + "\n")]
     results = {"errors": {str(r[0]): r[1] for r in rows}, "terms": len(last_product.terms)}
     return True, results, tables, plots, extra
 
 
-def _run_simulate(cfg, tolerances, seed):
-    gen = _array(cfg)
-    limit = _parse_sim_limit(cfg["limit"], "/limit")
-    plan = SimulationPlan(
-        generator=gen,
-        n_list=tuple(cfg["n_list"]),
-        samples_per_n=cfg["samples_per_n"],
-        seed=seed,
-        u_grid=_parse_u_grid(cfg["u_grid"], "/u_grid"),
-        limit=limit,
-    )
-    ks_threshold = _optional_number(cfg.get("ks_threshold"), "/ks_threshold")
-    ecf_threshold = _optional_number(cfg.get("ecf_threshold"), "/ecf_threshold")
-    dump = cfg.get("dump_samples", False)
-    results, kept = run_simulation(plan, keep_samples=dump)
+def _run_simulate(v):
+    limit = v["limit"]
+    plan = SimulationPlan(generator=v["array"], n_list=v["n_list"], seed=v["seed"],
+                          samples_per_n=v["samples_per_n"], u_grid=v["u_grid"], limit=limit)
+    ks_threshold, ecf_threshold = v["ks_threshold"], v["ecf_threshold"]
+    results, kept = run_simulation(plan, keep_samples=v["dump_samples"])
     rows = [[r.n, r.ks, r.ecf, r.samples_per_n, r.seed] for r in results]
     tables = [
         ("tables/simulate.csv", ["n", "ks_distance", "ecf_distance", "samples_per_n", "seed"], rows)
     ]
-    xs = _log_n(plan.n_list)
+    xs = list(map(math.log10, plan.n_list))
     series = [("ecf", xs, [r.ecf for r in results])]
     if limit.cdf is not None:
         series.insert(0, ("ks", xs, [r.ks for r in results]))
@@ -416,71 +363,95 @@ def _run_simulate(cfg, tolerances, seed):
     return passed, summary, tables, plots, extra
 
 
+# ---------------------------------------------------------------------------
+# The field table
+# ---------------------------------------------------------------------------
+
+#: the default of a field that must be present
+REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    parse: Callable  # (value, pointer) -> the parsed value
+    default: object = REQUIRED  # the value of an absent field
+
+
 class _Task(NamedTuple):
-    run: Callable
-    required: tuple[str, ...]
-    optional: tuple[str, ...] = ()
+    run: Callable  # (parsed config) -> (passed, results, tables, plots, extra)
+    fields: dict  # the fields the task reads besides COMMON_FIELDS, in parse order
 
 
-#: task name -> its runner, required fields and optional fields, in the order
-#: the unknown-task message lists them
+#: the fields every task accepts besides its own (a task may require one)
+COMMON_FIELDS = {
+    "out_dir": _Field(_out_dir, None),
+    "seed": _Field(_count, 0),
+    "plots": _Field(_flag, True),
+    "tolerances": _Field(_parse_tolerances, DEFAULT_TOLERANCES),
+}
+# each n_list entry names a row of /array: see _check_rows
+_ROWS = {"array": _Field(_parse_array), "n_list": _Field(_list_of(_count))}
+_EPS = {"eps_list": _Field(_list_of(_positive))}
+#: /array beside a measure: read only, and required, for a from_array measure
+_FROM_ARRAY = {"array": _Field(_parse_array, None)}
+
+#: task name -> its runner and fields, in the order the unknown-task message
+#: lists them
 TASKS = {
-    "hypotheses": _Task(_run_hypotheses, ("array", "n_list", "eps_list"), ("c_target",)),
-    "verdict-gaussian": _Task(_run_verdict_gaussian, ("array", "n_list", "eps_list")),
-    "verdict-poisson": _Task(_run_verdict_poisson, ("array", "n_list", "eps_list", "target")),
-    "verdict-general": _Task(
-        _run_verdict_general, ("array", "n_list", "limit", "grid"), ("shift_target", "eps_list")
-    ),
-    "psi-sweep": _Task(_run_psi_sweep, ("measure", "u_grid"), ("array",)),
-    "poisson-approx": _Task(
-        _run_poisson_approx, ("measure", "window", "mesh_cells", "u_grid"), ("array",)
-    ),
-    "simulate": _Task(
-        _run_simulate,
-        ("array", "n_list", "samples_per_n", "seed", "u_grid", "limit"),
-        ("ks_threshold", "ecf_threshold", "dump_samples"),
-    ),
+    "hypotheses": _Task(_run_hypotheses, _ROWS | _EPS | {"c_target": _Field(_as_written, None)}),
+    "verdict-gaussian": _Task(_run_verdict_gaussian, _ROWS | _EPS),
+    "verdict-poisson": _Task(_run_verdict_poisson, _ROWS | _EPS | {"target": _Field(_parse_target)}),
+    "verdict-general": _Task(_run_verdict_general, _ROWS | {
+        "limit": _Field(_parse_measure), "grid": _Field(_list_of(json_number)),
+        "shift_target": _Field(json_number, None), "eps_list": _Field(_list_of(_positive), (0.5,)),
+    }),
+    "psi-sweep": _Task(_run_psi_sweep, {
+        "measure": _Field(_sweep_measure), "u_grid": _Field(_parse_u_grid),
+    } | _FROM_ARRAY),
+    "poisson-approx": _Task(_run_poisson_approx, {
+        "measure": _Field(_sweep_measure), "window": _Field(_positive),
+        "mesh_cells": _Field(_list_of(lambda x, p: _count(x, p, 2))),
+        "u_grid": _Field(_parse_u_grid),
+    } | _FROM_ARRAY),
+    "simulate": _Task(_run_simulate, _ROWS | {
+        "samples_per_n": _Field(lambda x, p: _count(x, p, 1)), "seed": _Field(_count),
+        "u_grid": _Field(_parse_u_grid), "limit": _Field(_parse_sim_limit),
+        "ks_threshold": _Field(json_number, None), "ecf_threshold": _Field(json_number, None),
+        "dump_samples": _Field(_flag, False),
+    }),
 }
 
 
-# ---------------------------------------------------------------------------
-# Output handling
-# ---------------------------------------------------------------------------
-
-
-class _OutputTracker:
-    """Records every path written this run so errors can remove partial output."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.files: list[Path] = []
-        self.dirs: list[Path] = []
-
-    def ensure_dir(self, rel: str) -> None:
-        d = self.out_dir / rel if rel else self.out_dir
-        if not d.exists():
-            d.mkdir(parents=True)
-            self.dirs.append(d)
-
-    def write(self, rel: str, text: str) -> None:
-        path = self.out_dir / rel
-        if not path.parent.exists():
-            path.parent.mkdir(parents=True)
-            self.dirs.append(path.parent)
-        path.write_text(text)
-        self.files.append(path)
-
-    def cleanup(self) -> None:
-        for f in self.files:
-            try:
-                f.unlink()
-            except OSError:
-                pass
-        for d in reversed(self.dirs):
-            try:
-                d.rmdir()
-            except OSError:
-                pass
+def parse_config(cfg) -> dict:
+    """The config with every field through its parser, once, and every row
+    it names checked to exist: field name -> parsed value, with "task" and
+    each absent optional field at its default. Refuses the first fault with
+    its JSON pointer."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("/: config must be a JSON object")
+    task = cfg.get("task")
+    if task is None:
+        raise ConfigError("/task: missing required field")
+    if not isinstance(task, str) or task not in TASKS:
+        raise ConfigError(f"/task: unknown task {task!r}; expected one of {list(TASKS)}")
+    fields = COMMON_FIELDS | TASKS[task].fields
+    for name, field in fields.items():
+        if field.default is REQUIRED and name not in cfg:
+            raise ConfigError(f"/{name}: required for task {task!r}")
+    for name in cfg:
+        if name != "task" and name not in fields:
+            raise ConfigError(f"/{name}: unknown field for task {task!r}")
+    if "measure" in fields:
+        meas = cfg["measure"]
+        from_array = isinstance(meas, dict) and meas.get("kind") == "from_array"
+        if from_array and "array" not in cfg:
+            raise ConfigError("/array: required when /measure/kind is 'from_array'")
+        if not from_array and "array" in cfg:
+            raise ConfigError("/array: read only when /measure/kind is 'from_array'")
+    v = {"task": task}
+    for name, field in fields.items():
+        v[name] = field.parse(cfg[name], f"/{name}") if name in cfg else field.default
+    _check_rows(v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +479,10 @@ def _reject_non_finite(literal: str):
 
 
 def _first_non_finite(obj, pointer: str = "") -> str | None:
-    """JSON pointer of the first number a double cannot hold, in document
-    order: NaN, an infinity, or an integer past the largest double."""
-    if isinstance(obj, (int, float)):
-        return None if abs(obj) <= sys.float_info.max else pointer
+    """JSON pointer of the first NaN or infinity literal, in document order,
+    of a config parsed with every other number left as text."""
+    if isinstance(obj, float):
+        return pointer
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, list):
@@ -555,53 +526,58 @@ def main(argv=None) -> int:
         print(f"config error: {literal or '/'}: {exc}", file=sys.stderr)
         return 3
     try:
-        validate_config(cfg)
-        tolerances = _parse_tolerances(cfg)
-    except (ConfigError, ValueError) as exc:
+        v = parse_config(cfg)
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-
-    out_dir = args.out_dir or cfg.get("out_dir")
+    if args.seed_override is not None:
+        v["seed"] = args.seed_override
+    out_dir = args.out_dir or v["out_dir"]
     if not out_dir:
         print("config error: /out_dir: required (or pass --out-dir)", file=sys.stderr)
         return 3
-    seed = args.seed_override if args.seed_override is not None else cfg.get("seed", 0)
 
-    tracker = _OutputTracker(Path(out_dir))
-    task = cfg["task"]
+    task = v["task"]
     try:
-        tracker.ensure_dir("")
-        passed, results, tables, plots, extra = TASKS[task].run(cfg, tolerances, seed)
+        passed, results, tables, plots, extra = TASKS[task].run(v)
         summary_text = results.pop("summary_text", None)
-        artifacts = {"tables": [], "plots": [], "extra": []}
-        for rel, header, rows in tables:
-            tracker.write(rel, csv_text(header, rows))
-            artifacts["tables"].append(rel)
-        if cfg.get("plots", True):
+        # every artifact is rendered before the first is written, so a run
+        # that fails leaves no output
+        files = {rel: csv_text(header, rows) for rel, header, rows in tables}
+        artifacts = {"tables": list(files), "plots": [], "extra": []}
+        if v["plots"]:
             for rel, series, title, xlabel, ylabel in plots:
-                tracker.write(rel, line_plot_svg(series, title=title, xlabel=xlabel, ylabel=ylabel))
+                files[rel] = line_plot_svg(series, title=title, xlabel=xlabel, ylabel=ylabel)
                 artifacts["plots"].append(rel)
         for rel, content in extra:
-            tracker.write(rel, content)
+            files[rel] = content
             artifacts["extra"].append(rel)
         report = {
             "task": task,
             "passed": passed,
             "reasons": results.get("verdict", {}).get("reasons", []),
-            "seed": seed,
+            "seed": v["seed"],
             # the text it was read from: re-encoding it costs per component
             "config": _config_text(text),
             "results": results,
             "artifacts": artifacts,
         }
-        tracker.write("report.json", json_text(report) + "\n")
-    except (ConfigError, ArraySpecError, CharFnError) as exc:
-        tracker.cleanup()
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+        files["report.json"] = json_text(report) + "\n"
     except (PlotError, ValueError, RuntimeError, KeyError, TypeError) as exc:
-        tracker.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, EntryError):  # a library check of a list the config holds
+            exc = ConfigError(f"{exc.pointer}: {exc}")
+        config = isinstance(exc, (ConfigError, ArraySpecError, CharFnError))
+        kind = "config error" if config else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 3
+    out = Path(out_dir)
+    try:
+        for folder in {(out / rel).parent for rel in files}:
+            folder.mkdir(parents=True, exist_ok=True)
+        for rel, content in files.items():
+            (out / rel).write_text(content)
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 3
 
     if not args.quiet:

@@ -9,6 +9,7 @@ Poisson-type product that approximates exp(Psi).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +22,10 @@ from .config import Value
 
 class MeshRefinementError(ValueError):
     """A mesh cell has positive mass but no admissible nonzero tag."""
+
+
+class MassAtZeroError(MeshRefinementError):
+    """The measure has positive mass exactly at 0, which no mesh cell can tag."""
 
 
 #: u-points times atoms (or pieces) per block of exponent_eval, which bounds
@@ -126,9 +131,7 @@ def poisson_product_approx(
         raise ValueError(f"mesh must span [-{window}, {window}]")
     for site, mass in measure.atoms:
         if site == 0.0 and mass > 0.0:
-            raise MeshRefinementError(
-                "measure has positive mass exactly at 0; no nonzero tag can carry it"
-            )
+            raise MassAtZeroError("measure has positive mass exactly at 0; no nonzero tag can carry it")
 
     terms = []
     for j in range(len(mesh) - 1):
@@ -151,6 +154,8 @@ def poisson_product_approx(
             raise MeshRefinementError(
                 f"cell ({lo}, {hi}] carries mass balanced around 0; refine mesh near origin"
             )
+        if c * c == 0.0 or not math.isfinite(mass / (c * c)):
+            raise MeshRefinementError(f"cell ({lo}, {hi}] tags at {c!r}, too near 0 for m/c^2")
         terms.append(PoissonTypeTerm(drift=mass / c, intensity=mass / (c * c), site=c))
     prod = PoissonTypeProduct(tuple(terms))
 

@@ -28,7 +28,8 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .arrays import (
-    DISCRETE, GAUSSIAN, UNIFORM, ArrayGenerator, Gaussian, GroupTable, RowSpec, exp_sums,
+    DISCRETE, GAUSSIAN, UNIFORM, ArrayGenerator, Gaussian, GroupTable, RowSpec, check_lists,
+    exp_sums,
 )
 from .cf import CharFn, GaussianCF, TranslatedPoissonCF, eval_cf
 from .config import Value
@@ -506,7 +507,7 @@ def cf_only_limit(cf: CharFn) -> NamedLimit:
 class SimulationPlan(Value):
     def __init__(self, generator: ArrayGenerator, n_list: tuple[int, ...], samples_per_n: int,
                  seed: int, u_grid: tuple[float, ...], limit: NamedLimit):
-        n_list = tuple(int(n) for n in n_list)
+        n_list, _ = check_lists(n_list, ())
         u_grid = tuple(float(u) for u in u_grid)
         if samples_per_n < 1:
             raise ValueError("samples_per_n must be >= 1")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from scipy.special import ndtr as scipy_ndtr
 from summand_lab import row_statistics
 from summand_lab.arrays import generator_from_json
 from summand_lab.cf import eval_cf
-from summand_lab.cli import _parse_sim_limit, main
+from summand_lab.cli import REQUIRED, TASKS, _parse_sim_limit, main
 from summand_lab.montecarlo import ecf_distance, ks_distance
 from summand_lab.svgplot import PlotError, line_plot_svg
 
@@ -240,6 +241,20 @@ def _simulate(limit, **fields):
                  "samples_per_n": 100, "seed": 1, "u_grid": [0.5], "limit": limit}, **fields)
 
 
+def _verdict(task, **fields):
+    cfg = {"task": task, "array": RADEMACHER_ARRAY, "n_list": [10, 100], "eps_list": [0.5]}
+    if task == "verdict-poisson":
+        cfg["target"] = {"b": 0.0, "lambda": 1.0}
+    elif task == "verdict-general":
+        cfg |= {"limit": {"kind": "dirac_zero"}, "grid": [0.5]}
+    return cfg | fields
+
+
+def _approx(**fields):
+    return {"task": "poisson-approx", "measure": {"kind": "scaled_dirac_one"}, "window": 1.5,
+            "mesh_cells": [4], "u_grid": [0.5]} | fields
+
+
 def _power(p):
     return {"kind": "cf", "spec": {"family": "power", "params": {
         "base": {"family": "gaussian", "params": {"m": 0.0, "var": 1.0}}, "p": p}}}
@@ -452,7 +467,110 @@ REFUSED = {
         {"task": "verdict-poisson", "array": {"generator": "bernoulli_poisson", "lambda": 4.0},
          "n_list": [2, 10], "eps_list": [0.5], "target": {"b": 0.0, "lambda": 4.0}},
         "/n_list/0: row 2 would need success probability 2.0 > 1"),
+    # every value rule names the entry or field at fault, before any output
+    "decreasing-n-list": (_hypotheses(n_list=[100, 10]), "/n_list/1: n_list must be strictly"),
+    "decreasing-simulate-n-list": (_simulate({"kind": "std_gaussian"}, n_list=[100, 10]),
+                                   "/n_list/1: n_list must be strictly"),
+    "empty-n-list": (_hypotheses(n_list=[]), "/n_list: expected a nonempty list"),
+    "negative-eps": (_verdict("verdict-gaussian", eps_list=[-0.5]), "/eps_list/0: must be positive"),
+    "empty-eps-list": (_verdict("verdict-gaussian", eps_list=[]), "/eps_list: expected a nonempty"),
+    "empty-grid": (_verdict("verdict-general", grid=[]), "/grid: expected a nonempty list"),
+    "grid-point-on-a-limit-atom": (_verdict("verdict-general", grid=[0.5, 0.0]),
+                                   "/grid/1: grid point 0.0 is a discontinuity point"),
+    "negative-target-lambda": (_verdict("verdict-poisson", target={"b": 0.0, "lambda": -1}),
+                               "/target/lambda: must be positive, got -1.0"),
+    "zero-samples": (_simulate({"kind": "std_gaussian"}, samples_per_n=0),
+                     "/samples_per_n: must be >= 1, got 0"),
+    "negative-poisson-limit-lambda": (
+        _simulate({"kind": "translated_poisson", "b": 0.0, "lambda": -1}),
+        "/limit/lambda: must be positive, got -1.0"),
+    "measure-n-without-explicit-row": (
+        _sweep({"kind": "from_array", "n": 3}) | {"array": {"generator": "explicit", "rows": [
+            {"n": 2, "components": [{"kind": "gaussian", "mean": 0.0, "var": 0.5}]}]}},
+        "/measure/n: no explicit row for n=3; available: [2]"),
+    "measure-n-below-one": (_sweep({"kind": "from_array", "n": 0}) | {"array": RADEMACHER_ARRAY},
+                            "/measure/n: row index must be >= 1"),
+    "negative-window": (_approx(window=-1), "/window: must be positive, got -1.0"),
+    # 2 window overflows, and 1/4 of 2 window rounds to a breakpoint already taken
+    "window-near-the-largest-double": (_approx(window=1e308),
+                                       "/mesh_cells/0: mesh breakpoints must be strictly increasing"),
+    "subnormal-window": (_approx(window=5e-324),
+                         "/mesh_cells/0: mesh breakpoints must be strictly increasing"),
+    "one-cell-mesh": (_approx(mesh_cells=[4, 1]), "/mesh_cells/1: must be >= 2, got 1"),
+    "approx-measure-with-mass-at-zero": (_approx(measure={"kind": "dirac_zero"}),
+                                         "/measure: measure has positive mass exactly at 0"),
+    "integer-out-dir": (_sweep({"kind": "dirac_zero"}) | {"out_dir": 5},
+                        "/out_dir: expected a string, got 5"),
+    "u-grid-span-overflow": (
+        _sweep({"kind": "dirac_zero"}) | {"u_grid": {"start": -1e308, "stop": 1e308,
+                                                      "step": 1e-300}},
+        "/u_grid: (stop - start) / step is inf"),
+    "u-grid-past-its-point-bound": (
+        _sweep({"kind": "dirac_zero"}) | {"u_grid": {"start": 0, "stop": 1e300, "step": 1}},
+        "/u_grid: (stop - start) / step is 1e+300; a grid holds at most 1000000 points"),
+    "u-grid-last-point-overflow": (
+        _sweep({"kind": "dirac_zero"}) | {"u_grid": {"start": 1e308, "stop": 1.7e308,
+                                                      "step": 1.3e308}},
+        "/u_grid: the last point, start + 1 step, overflows"),
+    "list-task": ({"task": ["psi-sweep"]}, "/task: unknown task"),
+    # an integer past the largest double, where a float would overflow
+    "long-integer-n": (_HUGE.replace('"n_list": [10, 100]', '"n_list": [10, 1' + "0" * 400 + "]"),
+                       "/n_list/1: not a finite double"),
+    "long-integer-measure-n": (json.dumps(_sweep({"kind": "from_array", "n": 1}) | {
+        "array": RADEMACHER_ARRAY}).replace('"n": 1', '"n": 1' + "0" * 400),
+        "/measure/n: not a finite double"),
+    "long-integer-mesh-cells": (json.dumps(_approx()).replace('"mesh_cells": [4]',
+                                                              '"mesh_cells": [4' + "0" * 400 + "]"),
+                                "/mesh_cells/0: not a finite double"),
+    "long-integer-seed": (_HUGE.replace('"c_target": 1.0', '"seed": 1' + "0" * 400),
+                          "/seed: not a finite double"),
+    "long-integer-power": (json.dumps(_simulate(_power(2))).replace('"p": 2', '"p": 1' + "0" * 400),
+                           "/limit/spec/params/p: not a finite double"),
+    # a characteristic function's constructor names the params it refuses
+    "negative-cf-variance": (
+        _simulate({"kind": "cf", "spec": {"family": "gaussian", "params": {"m": 0.0, "var": -1}}}),
+        "/limit/spec/params: variance must be >= 0, got -1.0"),
+    "empty-product-in-a-power": (
+        _simulate({"kind": "cf", "spec": {"family": "power", "params": {
+            "base": {"family": "product", "params": {"factors": []}}, "p": 2}}}),
+        "/limit/spec/params/base/params: product needs at least one factor"),
+    "zero-site-cf-term": (
+        _simulate({"kind": "cf", "spec": {"family": "poisson_type_product", "params": {
+            "terms": [{"drift": 0.0, "intensity": 1.0, "site": 0}]}}}),
+        "/limit/spec/params/terms/0: site must be nonzero"),
+    # found by the config generators: each died with a traceback or wrote nan or inf
+    "standardized-copy-past-the-scale-bound": (
+        _hypotheses(array={"generator": "standardized_iid", "base": {
+            "kind": "gaussian", "mean": 2.5e76, "var": 5e-324}}, n_list=[4]),
+        "/n_list/0: row 4 scales a value of the base to"),
+    "standardized-uniform-that-rounds-to-a-point": (
+        _hypotheses(array={"generator": "standardized_iid", "base": {
+            "kind": "uniform", "lo": 5.789604461865809e+76, "hi": 5.78960446186581e+76}}),
+        "/n_list/1: Uniform needs lo < hi"),
+    "limit-mass-overflow": (
+        _verdict("verdict-general", limit={"kind": "explicit", "measure": {
+            "atoms": [[1.0, 1e308], [2.0, 1e308]]}}),
+        "/limit/measure: the total mass overflows a double"),
+    "piece-mass-overflow": (
+        _sweep({"kind": "explicit", "measure": {"pieces": [
+            {"weight": 1e300, "dist": {"kind": "gaussian", "mean": 0.0, "var": 1e153}}]}}),
+        "/measure/measure: the total mass overflows a double"),
+    "non-centred-gaussian-verdict": (
+        _verdict("verdict-gaussian", array={"generator": "bernoulli_poisson", "lambda": 0.5}),
+        "/array: row n=10 component 0"),
+    "approx-tag-too-near-zero": (
+        _approx(measure={"kind": "explicit", "measure": {"atoms": [[2.2250738585072014e-308,
+                                                                   1e300]]}},
+                window=1e-300, mesh_cells=[3]),
+        "/mesh_cells/0: cell (-3.3333333333333334e-301, 3.3333333333333334e-301] tags at"),
 }
+
+
+def test_out_dir_that_is_no_string_exits_3_without_the_flag(tmp_path, capsys):
+    # Path(5) raised a TypeError traceback once no --out-dir replaced it
+    cfg = write_config(tmp_path, "bad.json", _sweep({"kind": "dirac_zero"}) | {"out_dir": 5})
+    assert main(["--config", cfg, "--quiet"]) == 3
+    assert "config error: /out_dir: expected a string, got 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
@@ -738,6 +856,161 @@ def run_checked(cfg: dict, where: Path) -> tuple[int, str]:
 def test_generated_simulate_configs_run_or_exit_3(cfg):
     with tempfile.TemporaryDirectory() as where:
         run_checked(cfg, Path(where))
+
+
+#: eps across the double range: subnormal, zero, tiny, huge and negative
+_EPS = st.sampled_from([5e-324, 1e-310, 1e-200, 1e-160, 0.0, -0.5, 0.05, 0.5, 1.0, 1e76, 1e300])
+#: positive scales across the double range
+_SCALES = st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 0.5, 1.0, 1.5, 1e76, 1e300, 1e308,
+                                     _BOUND]),
+                    st.floats(5e-324, 1.7e308))
+
+
+@st.composite
+def _arrays(draw):
+    """An array of each generator over small n, and the n it has rows for."""
+    kind = draw(st.sampled_from(["standardized_iid", "bernoulli_poisson", "explicit"]))
+    if kind == "standardized_iid":
+        return {"generator": kind, "base": draw(_sim_components())}, range(1, 7)
+    if kind == "bernoulli_poisson":
+        lam = draw(st.sampled_from([5e-324, 0.5, 1.0, 3.0, 1e300]))
+        return {"generator": kind, "lambda": lam}, range(1, 7)
+    ns = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)))
+    rows = []
+    for n in ns:
+        comps = []
+        for c in draw(st.lists(_sim_components(), min_size=1, max_size=2)):
+            comps += [c] * draw(st.sampled_from([1, 2, 40]))
+        rows.append({"n": n, "components": comps})
+    return {"generator": kind, "rows": rows}, ns
+
+
+@st.composite
+def _rows_fields(draw):
+    """/array and an /n_list that mostly names its rows in order: sometimes
+    an entry names no row, sometimes the entries do not increase."""
+    array, ns = draw(_arrays())
+    n_list = sorted(draw(st.lists(st.sampled_from(list(ns)), min_size=1, max_size=3, unique=True)))
+    if draw(st.integers(0, 9)) == 0:
+        n_list.append(draw(st.sampled_from([0, 7, n_list[0]])))
+    return {"array": array, "n_list": n_list}
+
+
+def _grids(numbers):
+    """Nonempty lists of numbers, with one-point and repeated-point lists."""
+    return st.one_of(st.lists(numbers, min_size=1, max_size=3),
+                     st.builds(lambda x, k: [x] * k, numbers, st.integers(1, 3)))
+
+
+_U_GRIDS = st.one_of(_grids(st.one_of(_EDGES, st.floats(-1e300, 1e300))),
+                     st.builds(lambda x: {"start": x, "stop": x, "step": 1.0}, _EDGES),
+                     st.just({"start": -2.0, "stop": 2.0, "step": 0.5}))
+
+
+@st.composite
+def _limit_measures(draw):
+    """Every limit-measure form: dirac_zero, scaled_dirac_one and explicit."""
+    kind = draw(st.sampled_from(["dirac_zero", "scaled_dirac_one", "explicit"]))
+    if kind != "explicit":
+        field = "mass" if kind == "dirac_zero" else "lambda"
+        return {"kind": kind, field: draw(st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 1e300]))}
+    atoms = draw(st.lists(st.tuples(_NUMBERS, st.sampled_from([0.0, 5e-324, 0.5, 1e300])),
+                          max_size=3))
+    pieces = [{"weight": w, "dist": c} for w, c in draw(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, 1e300]), _sim_components()), max_size=2))
+        if c["kind"] != "finite_discrete"]
+    return {"kind": "explicit", "measure": {"atoms": [list(a) for a in atoms], "pieces": pieces}}
+
+
+@st.composite
+def _sweep_measures(draw):
+    """/measure of psi-sweep and poisson-approx, any form, with /array beside
+    a from_array one."""
+    if draw(st.booleans()):
+        return {"measure": draw(_limit_measures())}
+    array, _ = draw(_arrays())
+    return {"measure": {"kind": "from_array", "n": draw(st.integers(0, 7)),
+                        "centered": draw(st.booleans())}, "array": array}
+
+
+@st.composite
+def task_configs(draw):
+    """A config of hypotheses, a verdict, psi-sweep or poisson-approx that the
+    schema accepts, or that breaks one value rule."""
+    task = draw(st.sampled_from(["hypotheses", "verdict-gaussian", "verdict-poisson",
+                                 "verdict-general", "psi-sweep", "poisson-approx"]))
+    cfg = {"task": task, "plots": draw(st.booleans())}
+    if task in ("psi-sweep", "poisson-approx"):
+        cfg |= draw(_sweep_measures()) | {"u_grid": draw(_U_GRIDS)}
+        if task == "poisson-approx":
+            cfg["window"] = draw(_SCALES)
+            cfg["mesh_cells"] = draw(st.lists(st.sampled_from([2, 3, 4, 48]), min_size=1,
+                                              max_size=3))
+        return cfg
+    cfg |= draw(_rows_fields())
+    if task != "verdict-general" or draw(st.booleans()):
+        cfg["eps_list"] = draw(st.lists(_EPS, min_size=1, max_size=3, unique=True))
+    if task == "hypotheses" and draw(st.booleans()):
+        cfg["c_target"] = draw(_NUMBERS)
+    if task == "verdict-poisson":
+        cfg["target"] = {"b": draw(_NUMBERS), "lambda": draw(_SCALES)}
+    if task == "verdict-general":
+        cfg |= {"limit": draw(_limit_measures()), "grid": draw(_grids(_NUMBERS))}
+        if draw(st.booleans()):
+            cfg["shift_target"] = draw(_NUMBERS)
+    return cfg
+
+
+@settings(max_examples=900, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(task_configs())
+def test_generated_task_configs_run_or_exit_3(cfg):
+    with tempfile.TemporaryDirectory() as where:
+        run_checked(cfg, Path(where))
+
+
+@pytest.mark.parametrize("cfg", [
+    # eps^2 underflows to 0, or eps^-2 E X^2 overflows: the Markov bound is capped
+    pytest.param(_hypotheses(eps_list=[1e-200]), id="hypotheses-eps-squared-underflow"),
+    pytest.param(_hypotheses(eps_list=[1e-160]), id="hypotheses-markov-bound-overflow"),
+    pytest.param(_verdict("verdict-gaussian", eps_list=[1e-200]), id="verdict-eps-squared-underflow"),
+    pytest.param(_verdict("verdict-gaussian", eps_list=[1e-160]), id="verdict-markov-bound-overflow"),
+])
+def test_tiny_eps_runs_with_finite_artifacts(tmp_path, cfg):
+    code, _ = run_checked(cfg, tmp_path)
+    assert code in (0, 2)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    hyp = report["results"]["hypothesis"] if cfg["task"] == "hypotheses" else \
+        report["results"]["verdict"]["hypothesis"]
+    assert hyp["markov_bound"][repr(cfg["eps_list"][0])] == [sys.float_info.max] * 2
+
+
+def test_gaussian_piece_far_from_a_huge_mesh_breakpoint_runs(tmp_path):
+    # the piece's partial third moment at -window read 0 * inf: the product
+    # and its error came out nan, and the report writer exited 3
+    cfg = _approx(measure={"kind": "explicit", "measure": {"pieces": [
+        {"weight": 1.0, "dist": {"kind": "gaussian", "mean": 1.0, "var": 1e-300}}]}},
+        window=1e8, mesh_cells=[2])
+    assert run_checked(cfg, tmp_path)[0] == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["terms"] == 1
+
+
+def test_schemas_table_lists_the_fields_of_each_task():
+    """docs/SCHEMAS.md's "Required fields per task" table lists, task by
+    task and in order, the required and the optional fields of cli.TASKS."""
+    text = (Path(__file__).parents[1] / "docs" / "SCHEMAS.md").read_text()
+    table = text.split("Required fields per task:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        task, required, optional = (re.findall(r"`([^`]+)`", cell)
+                                    for cell in line.strip().strip("|").split("|"))
+        documented[task[0]] = (required, optional)
+    assert documented == {
+        task: ([f for f, spec in t.fields.items() if spec.default is REQUIRED],
+               [f for f, spec in t.fields.items() if spec.default is not REQUIRED])
+        for task, t in TASKS.items()
+    }
 
 
 def _one_row(components):
