@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import Value
-from .normal import ndtr, ndtr_scalar, ndtri
+from .normal import ndtr, ndtr_scalar
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MAX_DOUBLE = sys.float_info.max
@@ -194,10 +194,9 @@ class Gaussian(ComponentDist):
         return Gaussian(self.m / s, self.v / (s * s))
 
     def sample(self, rng, size):
-        # inverse-CDF on an open-(0,1) uniform so the draw is a pure function
-        # of the bit stream (no rejection steps)
-        u = _uniform_open(rng, size)
-        return self.m + math.sqrt(self.v) * ndtri(u)
+        """size draws of N(m, v) by the Generator's normal sampler (a ziggurat),
+        a pure function of the bit stream as its other draws are."""
+        return self.m + math.sqrt(self.v) * rng.standard_normal(size)
 
 
 class Uniform(ComponentDist):
@@ -344,11 +343,6 @@ def exp_sums(u_grid, x, w) -> np.ndarray:
             z *= step
         out[k] = w @ z
     return out
-
-
-def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
-    # 53-bit uniforms on the open interval (0,1); ndtri stays finite
-    return rng.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,11 @@ from .montecarlo import (
 )
 from .svgplot import PlotError, line_plot_svg
 
-#: the most points a {start, stop, step} u_grid may ask for
+#: the most points a {start, stop, step} u_grid may ask for, and the most
+#: breakpoints of a poisson-approx mesh (mesh_cells + 1)
 MAX_GRID_POINTS = 10 ** 6
+#: the most samples_per_n a simulate run may ask for
+MAX_SAMPLES = 10 ** 7
 
 
 class ConfigError(ValueError):
@@ -74,10 +77,13 @@ def _of_type(cls: type, kind: str) -> Callable:
 _flag, _out_dir = _of_type(bool, "a boolean"), _of_type(str, "a string")
 
 
-def _count(v, pointer: str, least: int | None = None) -> int:
+def _count(v, pointer: str, least: int | None = None, most: int | None = None) -> int:
     n = json_number(v, pointer, integer=True)
     if least is not None and n < least:
         raise ConfigError(f"{pointer}: must be >= {least}, got {n}")
+    # refused before anything of that size is allocated
+    if most is not None and n > most:
+        raise ConfigError(f"{pointer}: must be <= {most}, got {n}")
     return n
 
 
@@ -409,11 +415,12 @@ TASKS = {
     } | _FROM_ARRAY),
     "poisson-approx": _Task(_run_poisson_approx, {
         "measure": _Field(_sweep_measure), "window": _Field(_positive),
-        "mesh_cells": _Field(_list_of(lambda x, p: _count(x, p, 2))),
+        "mesh_cells": _Field(_list_of(lambda x, p: _count(x, p, 2, MAX_GRID_POINTS - 1))),
         "u_grid": _Field(_parse_u_grid),
     } | _FROM_ARRAY),
     "simulate": _Task(_run_simulate, _ROWS | {
-        "samples_per_n": _Field(lambda x, p: _count(x, p, 1)), "seed": _Field(_count),
+        "samples_per_n": _Field(lambda x, p: _count(x, p, 1, MAX_SAMPLES)),
+        "seed": _Field(_count),
         "u_grid": _Field(_parse_u_grid), "limit": _Field(_parse_sim_limit),
         "ks_threshold": _Field(json_number, None), "ecf_threshold": _Field(json_number, None),
         "dump_samples": _Field(_flag, False),
@@ -474,28 +481,6 @@ def _config_text(text: str) -> Verbatim:
     return Verbatim(text)
 
 
-def _reject_non_finite(literal: str):
-    raise ConfigError(f"Out of range float values are not JSON compliant: {literal}")
-
-
-def _first_non_finite(obj, pointer: str = "") -> str | None:
-    """JSON pointer of the first NaN or infinity literal, in document order,
-    of a config parsed with every other number left as text."""
-    if isinstance(obj, float):
-        return pointer
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, list):
-        items = enumerate(obj)
-    else:
-        return None
-    for key, value in items:
-        found = _first_non_finite(value, f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}")
-        if found is not None:
-            return found
-    return None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="summand-lab",
@@ -513,17 +498,12 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
-        cfg = json.loads(text, parse_constant=_reject_non_finite)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         print(
             f"config parse error: line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
-        return 3
-    except ConfigError as exc:
-        # a failing config alone pays for this walk; numbers as text leave only the literal
-        literal = _first_non_finite(json.loads(text, parse_int=str, parse_float=str))
-        print(f"config error: {literal or '/'}: {exc}", file=sys.stderr)
         return 3
     try:
         v = parse_config(cfg)

@@ -6,15 +6,16 @@ SeedSequence(seed, spawn_key=(stream_id,)), so a stream is a pure function of
 output regardless of how many workers execute the chunks. A row's draws are
 planned once from its GroupTable (_RowDraws) and run per chunk into one
 reused buffer: a two-atom group by compare-and-take, a uniform copy scaled
-in place. The streams and roundings are those of a per-component draw into
-fresh arrays, which the tests keep as the reference. Distances to the
+in place, and every Gaussian group together as one draw of the Generator's
+normal sampler. The streams and roundings are those of a per-component draw
+into fresh arrays, which the tests keep as the reference. Distances to the
 predicted limit: exact one-sample Kolmogorov-Smirnov over the distinct sample
 values, and the max empirical-characteristic-function gap on a u-grid, whose
 empirical side is arrays.exp_sums over the whole grid (angle addition with
 exact re-seeding, accurate to about 1e-13). Both read one Tally of the
-sample: its distinct values and their counts, from a single sort. For
-Bernoulli rows the binomial-vs-Poisson total variation is computed exactly
-from pmfs.
+sample: its distinct values and their counts, from the one sort of
+np.unique. For Bernoulli rows the binomial-vs-Poisson total variation is
+computed exactly from pmfs.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class _RowDraws:
     reference samplers in tests/arrayref.py (discrete_draws by inversion,
     uniform_draws as lo + (hi - lo) u) and of the multinomial sum: only the
     arrays those allocate per group are gone. The Gaussian groups draw last,
-    as one Gaussian.
+    as one Gaussian, by the Generator's normal sampler (arrays.Gaussian.sample).
     """
 
     def __init__(self, table: GroupTable):
@@ -220,13 +221,9 @@ class Tally(Value):
 
 
 def tally(samples: Sequence[float]) -> Tally:
-    """The Tally of a sample from one sort: np.unique(s, return_counts=True)."""
-    s = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-    change = np.empty(s.size, dtype=bool)
-    change[:1] = True
-    np.not_equal(s[1:], s[:-1], out=change[1:])
-    counts = np.diff(np.flatnonzero(change), append=s.size)
-    return Tally(s[change], counts, s.size)
+    """The Tally of a sample from one sort."""
+    s = np.asarray(samples, dtype=np.float64).ravel()
+    return Tally(*np.unique(s, return_counts=True), s.size)
 
 
 def ks_distance(

@@ -1,14 +1,10 @@
-"""Standard normal CDF and quantile over numpy arrays.
+"""Standard normal CDF over numpy arrays.
 
 ndtr is Phi(x) = 1/2 erfc(-x / sqrt 2) with the C library's erfc, one value
 at a time: within 2.2e-16 absolute of scipy.special.ndtr, and the same bits
 as ndtr_scalar, the CDF of one float. At about 0.1 us a value it is cheap
 where it runs: the continuous KS reads F at about 1250 of the 2e4 values of
 a row (see montecarlo._continuous_ks).
-
-ndtri is Wichura's AS241 (PPND16), "The Percentage Points of the Normal
-Distribution", Applied Statistics 37 (1988), with the coefficients and the
-order of operations of the stdlib's statistics.NormalDist.inv_cdf.
 """
 
 from __future__ import annotations
@@ -32,81 +28,3 @@ def ndtr(x) -> np.ndarray:
     out = np.fromiter(map(math.erfc, z), np.float64, len(z))
     out *= 0.5
     return out.reshape(x.shape)
-
-
-# AS241 rational approximations, coefficients highest degree first:
-# (numerator, denominator) for |p - 1/2| <= 0.425, and in r = sqrt(-log
-# min(p, 1 - p)) for r <= 5 and beyond
-_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0),
-)
-_NEAR = (
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
-     4.63033784615654529590e+0, 1.42343711074968357734e+0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-     2.05319162663775882187e+0, 1.0),
-)
-_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
-     5.46378491116411436990e+0, 6.65790464350110377720e+0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0),
-)
-
-
-def _rational(coeffs, r: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """(scale * num(r)) / den(r), both polynomials by Horner's rule."""
-    num_c, den_c = coeffs
-    num = np.full_like(r, num_c[0])
-    den = np.full_like(r, den_c[0])
-    for a, b in zip(num_c[1:], den_c[1:]):
-        num *= r
-        num += a
-        den *= r
-        den += b
-    if scale is not None:
-        num *= scale
-    num /= den
-    return num
-
-
-def ndtri(p) -> np.ndarray:
-    """Phi^{-1}(p) elementwise for p in (0, 1), by AS241.
-
-    Equal to statistics.NormalDist().inv_cdf to the last bit on every input
-    tried, because it rounds in the same order and takes its logarithms from
-    math.log: numpy's log differs from libm's by an ulp, which r - 1.6
-    amplifies to 3 ulps of the quantile.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = p - 0.5
-    out = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    if qc.size:
-        out[central] = _rational(_CENTRAL, 0.180625 - qc * qc, qc)
-    tail = ~central
-    qt = q[tail]
-    if qt.size:
-        small = np.where(qt <= 0.0, p[tail], 1.0 - p[tail])
-        r = np.fromiter(map(math.log, small.tolist()), np.float64, small.size)
-        np.negative(r, out=r)
-        np.sqrt(r, out=r)
-        x = np.empty_like(r)
-        near = r <= 5.0
-        if near.any():
-            x[near] = _rational(_NEAR, r[near] - 1.6)
-        far = ~near
-        if far.any():
-            x[far] = _rational(_FAR, r[far] - 5.0)
-        out[tail] = np.where(qt < 0.0, -x, x)
-    return out

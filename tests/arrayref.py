@@ -4,10 +4,15 @@ The row sampler (``montecarlo._RowDraws``) draws every group of a row into
 reused buffers. ``sample`` draws one finite-discrete or uniform component
 into fresh arrays: by inversion for a finite-discrete law
 (``discrete_draws``), and as ``lo + (hi - lo) u`` for a uniform
-(``uniform_draws``). The sampler's tests compare its sums with these draws
-bit for bit. ``generator_to_json`` writes a generator back as the JSON
-that ``arrays.generator_from_json`` reads.
+(``uniform_draws``). A row's Gaussian groups draw together as one
+``gaussian_draws``, written from the Generator's normal sampler and not
+through ``arrays.Gaussian.sample``, so a change to that draw shows. The
+sampler's tests compare its sums with these draws bit for bit.
+``generator_to_json`` writes a generator back as the JSON that
+``arrays.generator_from_json`` reads.
 """
+
+import math
 
 import numpy as np
 
@@ -49,6 +54,11 @@ def uniform_draws(lo: float, hi: float, rng: np.random.Generator, size: int) -> 
     in-place buf *= hi - lo; buf += lo, which rounds the same two
     operations."""
     return lo + (hi - lo) * rng.random(size)
+
+
+def gaussian_draws(rng: np.random.Generator, m: float, v: float, size: int) -> np.ndarray:
+    """size draws of N(m, v): the reference for arrays.Gaussian.sample."""
+    return m + math.sqrt(v) * rng.standard_normal(size)
 
 
 def sample(dist, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -200,8 +200,9 @@ def test_partial_outputs_removed_on_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_report_value_exits_3(tmp_path, capsys, literal):
-    # Python's JSON reader accepts these literals, which are not JSON; report.json
-    # copies the config's text, so the config is refused before any work
+    # Python's JSON reader accepts these literals, which are not JSON, as
+    # non-finite floats; report.json copies the config's text, so the field's
+    # parser refuses the config before any work
     p = tmp_path / "hyp.json"
     p.write_text(
         '{"task": "hypotheses", "array": %s, "n_list": [10, 100], "eps_list": [0.5], '
@@ -210,8 +211,7 @@ def test_non_finite_report_value_exits_3(tmp_path, capsys, literal):
     out = tmp_path / "out"
     assert main(["--config", str(p), "--out-dir", str(out), "--quiet"]) == 3
     err = capsys.readouterr().err
-    assert "Out of range float values" in err
-    assert f"/c_target: Out of range float values are not JSON compliant: {literal}" in err
+    assert "config error: /c_target: not a finite double" in err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -293,10 +293,10 @@ REFUSED = {
     "long-float-literal": (_HUGE.replace('"c_target": 1.0', '"c_target": ' + "9" * 400 + ".0"),
                            "/c_target: "),
     "long-integer": (_HUGE.replace('"c_target": 1.0', '"c_target": ' + "9" * 401), "/c_target: "),
-    # the pointer names the literal, not the long integer before it
+    # faults are refused in parse order: the seed before the literal after it
     "nan-after-a-long-integer": (
         _HUGE.replace('"c_target": 1.0', '"seed": ' + "9" * 401 + ', "c_target": NaN'),
-        "/c_target: Out of range float values are not JSON compliant: NaN"),
+        "/seed: not a finite double"),
     "string-atom": (_atoms(["-1", "0.5"], [True, 0.5]),
                     "/array/base/atoms/0/0: expected a number, got '-1'"),
     "string-atom-prob": (_atoms([-1.0, "0.5"], [1.0, 0.5]),
@@ -558,6 +558,11 @@ REFUSED = {
     "non-centred-gaussian-verdict": (
         _verdict("verdict-gaussian", array={"generator": "bernoulli_poisson", "lambda": 0.5}),
         "/array: row n=10 component 0"),
+    # refused before the 7.28 TiB of samples, and the 10^8-float mesh, are asked for
+    "samples-past-the-bound": (_simulate({"kind": "std_gaussian"}, samples_per_n=10 ** 12),
+                               "/samples_per_n: must be <= 10000000, got 1000000000000"),
+    "mesh-cells-past-the-bound": (_approx(mesh_cells=[4, 10 ** 8]),
+                                  "/mesh_cells/1: must be <= 999999, got 100000000"),
     "approx-tag-too-near-zero": (
         _approx(measure={"kind": "explicit", "measure": {"atoms": [[2.2250738585072014e-308,
                                                                    1e300]]}},
@@ -584,6 +589,58 @@ def test_malformed_config_is_refused_with_its_pointer(tmp_path, capsys, case):
     assert f"config error: {pointer}" in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+_MIXED_ROWS = {"generator": "explicit", "rows": [
+    {"n": 2, "components": [{"kind": "gaussian", "mean": 0.0, "var": 0.5},
+                            {"kind": "uniform", "lo": -0.5, "hi": 0.5}]},
+    {"n": 3, "components": [{"kind": "finite_discrete", "atoms": [[-1.0, 0.5], [1, 0.5]]}]},
+]}
+_MEASURE = {"kind": "explicit", "measure": {
+    "atoms": [[1.0, 0.5]], "pieces": [{"weight": 2.0, "dist": {"kind": "gaussian", "mean": 0.0,
+                                                                "var": 1.0}}]}}
+#: one config per task, each with every kind of numeric field the task reads
+LEAF_CONFIGS = {
+    "hypotheses": _hypotheses(array=_MIXED_ROWS, n_list=[2, 3], c_target=1,
+                              tolerances={"exact_stat": 1e-3, "coarse_stat": 0.01}),
+    "verdict-gaussian": _verdict("verdict-gaussian", array=_MIXED_ROWS, n_list=[2, 3]),
+    "verdict-poisson": _verdict("verdict-poisson", eps_list=[0.5, 1.0]),
+    "verdict-general": _verdict("verdict-general", limit=_MEASURE, shift_target=0.0,
+                                grid=[0.5, -0.5]),
+    "psi-sweep": _sweep(_MEASURE) | {"u_grid": {"start": 0.0, "stop": 1.0, "step": 0.5}},
+    "poisson-approx": _approx(measure={"kind": "from_array", "n": 2}, array=_MIXED_ROWS,
+                              mesh_cells=[4, 8], seed=3),
+    "simulate": _simulate({"kind": "translated_poisson", "b": 0.0, "lambda": 1.0},
+                          array=_MIXED_ROWS, n_list=[2, 3], ks_threshold=0.5,
+                          ecf_threshold=0.5),
+}
+
+
+def _numeric_leaves(obj, pointer=""):
+    """(JSON pointer, container, key) of every number in obj, in document order."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, f"{pointer}/{key}")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f"{pointer}/{key}", obj, key
+
+
+@pytest.mark.parametrize("task", LEAF_CONFIGS)
+def test_non_finite_literal_at_every_leaf_is_named_by_its_pointer(tmp_path, capsys, task):
+    # json.dumps writes these floats as the literals NaN, Infinity and -Infinity
+    doc = json.loads(json.dumps(LEAF_CONFIGS[task]))
+    assert doc["task"] == task
+    for i, literal in enumerate((math.nan, math.inf, -math.inf)):
+        for j, (pointer, container, key) in enumerate(list(_numeric_leaves(doc))):
+            number, container[key] = container[key], literal
+            p, out = tmp_path / f"{i}-{j}.json", tmp_path / f"out-{i}-{j}"
+            p.write_text(json.dumps(doc))
+            container[key] = number
+            assert main(["--config", str(p), "--out-dir", str(out), "--quiet"]) == 3, pointer
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {pointer}: "), err
+            assert not out.exists() or not any(out.iterdir())
 
 
 def _explicit_array(ns, seed):

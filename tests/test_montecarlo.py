@@ -235,6 +235,16 @@ def test_gaussian_groups_draw_once_from_the_summed_law():
     assert ks_distance((s - mean) / math.sqrt(var), std_normal_cdf) <= dkw(count)
 
 
+@pytest.mark.parametrize("k", [3.0, 4.0])
+def test_gaussian_draws_reach_the_tails(k):
+    # the KS above checks the bulk of the law; this checks P(|Z| > k) = 2 Phi(-k)
+    mean, sd, count = 0.5, 2.0, 10 ** 6
+    s = sample_sums_chunked(RowSpec(1, ((Gaussian(mean, sd * sd), 1),)), count, seed=23)
+    p = 2.0 * float(scipy_ndtr(-k))
+    beyond = int(np.count_nonzero(np.abs(s - mean) > k * sd))
+    assert abs(beyond - count * p) <= 6.0 * math.sqrt(count * p * (1.0 - p))
+
+
 def mixed_group_row() -> RowSpec:
     skew = FiniteDiscrete(((-0.5, 0.2), (0.25, 0.5), (3.0, 0.3)))
     return RowSpec(
