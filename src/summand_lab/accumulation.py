@@ -13,8 +13,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .arrays import (
     DISCRETE, GAUSSIAN, UNIFORM, ArraySpecError, ComponentDist, EntryError, FiniteDiscrete,
     GroupTable, RowSpec, columnar, component_from_json, component_key, component_to_json,

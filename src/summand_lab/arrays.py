@@ -22,8 +22,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .config import Value
 from .normal import ndtr, ndtr_scalar
 
@@ -264,14 +263,19 @@ def phi2(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.complex128)
     out = np.empty_like(w)
     small = np.abs(w) < _SERIES_SWITCH
-    ws = w[small]
-    acc = np.zeros_like(ws)
-    for c in _PHI2_COEFFS:
-        acc = acc * ws + c
-    out[small] = acc
+    out[small] = phi2_series(w[small])
     wb = w[~small]
     out[~small] = (np.exp(wb) - 1.0 - wb) / wb / wb
     return out
+
+
+def phi2_series(w: np.ndarray) -> np.ndarray:
+    """phi2 of a complex array whose every |w| < _SERIES_SWITCH, by its
+    Taylor series."""
+    acc = np.zeros_like(w)
+    for c in _PHI2_COEFFS:
+        acc = acc * w + c
+    return acc
 
 
 def sinc_m1(theta: np.ndarray) -> np.ndarray:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from typing import ClassVar
 
-import numpy as np
-
+from ._lazy import np
 from .accumulation import AccumMeasure, measure_from_json, measure_to_json
 from .arrays import ArraySpecError, complex_array, exp_sums, json_number, refuse_unknown
 from .config import Value

@@ -27,8 +27,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .accumulation import AccumMeasure, build_accum, export_measure_csv, measure_from_json
 from .arrays import (
     ArrayGenerator, ArraySpecError, EntryError, generator_from_json, hypothesis_check, json_number,

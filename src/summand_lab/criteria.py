@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .accumulation import AccumMeasure, build_accum, preweak_distance
 from .arrays import (
     ArrayGenerator,

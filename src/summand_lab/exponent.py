@@ -1,10 +1,10 @@
 """The limit exponent Psi(u) = ∫ (e^{iux} - 1 - iux) / x^2 dK(x).
 
 Evaluated in closed form on a whole u-grid at once: an atom of mass m at x
-contributes -m u (u phi2(iux)), and a continuous piece w y^2 dF(y) contributes
-w E[e^{iuY} - 1 - iuY] for Y ~ F, its compensated characteristic function,
-through the same phi2 (see _compensated). Also builds the finite
-Poisson-type product that approximates exp(Psi).
+contributes m (e^{iux} - 1 - iux) / x^2 (see _kernel), and a continuous piece
+w y^2 dF(y) contributes w E[e^{iuY} - 1 - iuY] for Y ~ F, its compensated
+characteristic function, through the same kernel (see _compensated). Also
+builds the finite Poisson-type product that approximates exp(Psi).
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .accumulation import AccumMeasure
-from .arrays import GAUSSIAN, UNIFORM, GroupTable, complex_array, phi2, sinc_m1
+from .arrays import (
+    _SERIES_SWITCH, GAUSSIAN, UNIFORM, GroupTable, complex_array, phi2_series, sinc_m1,
+)
 from .cf import CharFn, KolmogorovCF, PoissonTypeProduct, PoissonTypeTerm
 from .config import Value
 
@@ -59,9 +60,7 @@ def _psi_block(u: np.ndarray, sites: np.ndarray, masses: np.ndarray, t: GroupTab
     array, summed along the groups from 0.0."""
     value = np.zeros(u.shape[0], dtype=np.complex128)
     if sites.size:
-        # -u (u phi2(iux)): u phi2 is about 1/x at large |ux|, so a finite
-        # value stays finite where u^2 alone overflows
-        value += (-u * (u * phi2(complex_array(0.0, u * sites))) * masses).sum(axis=1)
+        value += (_kernel(u, sites) * masses).sum(axis=1)
     g = t.index[GAUSSIAN]
     if g.size:
         # X = m + sd G: E[e^{iuX}] - 1 = e^{imu} (e^{-vu^2/2} - 1) + (e^{imu} - 1)
@@ -74,13 +73,30 @@ def _psi_block(u: np.ndarray, sites: np.ndarray, masses: np.ndarray, t: GroupTab
     return value
 
 
+def _kernel(u: np.ndarray, x) -> np.ndarray:
+    """(e^{iux} - 1 - iux) / x^2 elementwise, broadcast: -u (u phi2(iux)) by
+    phi2's series where |ux| < _SERIES_SWITCH, the direct form divided by x
+    twice elsewhere. Neither squares u, so a finite value stays finite where
+    u^2 alone overflows; and the direct form keeps the real part
+    (cos ux - 1) / x^2, which phi2's underflows past |ux| of about 1e154."""
+    ux = u * x
+    out = np.empty(ux.shape, dtype=np.complex128)
+    series = np.abs(ux) < _SERIES_SWITCH
+    us = np.broadcast_to(u, ux.shape)[series]
+    out[series] = -us * (us * phi2_series(complex_array(0.0, ux[series])))
+    direct = ~series
+    y, xd = ux[direct], np.broadcast_to(x, ux.shape)[direct]
+    out[direct] = complex_array((np.cos(y) - 1.0) / xd / xd, (np.sin(y) - y) / xd / xd)
+    return out
+
+
 def _compensated(cu: np.ndarray, factor_m1: np.ndarray) -> np.ndarray:
     """E[e^{iuX} - 1 - iuX] for X = c + Y, E Y = 0, E e^{iuY} = 1 + factor_m1:
     e^{icu} factor_m1 + (e^{icu} - 1 - icu). At small |u| both terms have the
     sign of the whole, and at large |u| neither is much larger than the
     whole, so nothing cancels."""
     e = complex_array(np.cos(cu), np.sin(cu))
-    return e * factor_m1 - cu * (cu * phi2(complex_array(0.0, cu)))
+    return e * factor_m1 + _kernel(cu, 1.0)
 
 
 class CurvatureCheck(Value):

@@ -24,10 +24,7 @@ import math
 import sys
 from typing import Callable, Sequence
 
-import numpy as np
-# numpy loads numpy.random on first use (14 ms); imported here, start-up pays it
-from numpy.random import SFC64, Generator, SeedSequence
-
+from ._lazy import np
 from .arrays import (
     DISCRETE, GAUSSIAN, UNIFORM, ArrayGenerator, Gaussian, GroupTable, RowSpec, check_lists,
     exp_sums,
@@ -42,7 +39,7 @@ SUBSTREAM_CHUNK = 16384
 _U64 = 2**64 - 1
 
 
-def _substream(seed: int, stream_id: int) -> Generator:
+def _substream(seed: int, stream_id: int) -> np.random.Generator:
     """The generator of stream (seed, stream_id), both read modulo 2^64.
 
     SeedSequence hashes the seed and the spawn key into SFC64's state, so
@@ -51,7 +48,8 @@ def _substream(seed: int, stream_id: int) -> Generator:
     SeedSequence stable across releases for a fixed seed; Generator methods
     may change with a release.
     """
-    return Generator(SFC64(SeedSequence(seed & _U64, spawn_key=(stream_id & _U64,))))
+    r = np.random
+    return r.Generator(r.SFC64(r.SeedSequence(seed & _U64, spawn_key=(stream_id & _U64,))))
 
 
 def sample_sums(row: RowSpec, count: int, seed: int, stream_id: int = 0) -> np.ndarray:

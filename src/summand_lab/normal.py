@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from ._lazy import np
 
 _SQRT_2 = math.sqrt(2.0)
 

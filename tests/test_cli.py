@@ -1235,7 +1235,8 @@ def test_non_finite_psi_is_refused_with_its_u(tmp_path, capsys, cfg, u):
 
 def test_psi_of_one_atom_stays_finite_at_a_huge_u(tmp_path):
     # (e^{iux} - 1 - iux) / x^2 at x = 0.5, u = 1e300 is about -2e300 i, while
-    # u^2 overflows: the atom kernel divides by x last
+    # u^2 overflows: the atom kernel divides by x last; its real part,
+    # (cos ux - 1) / x^2, is 1e-300 of |Psi| and is kept all the same
     out = tmp_path / "out"
     assert main(["--config", write_config(tmp_path, "sweep.json",
                                           _one_atom_sweep([1e300], plots=False)),
@@ -1243,7 +1244,7 @@ def test_psi_of_one_atom_stays_finite_at_a_huge_u(tmp_path):
     (line,) = (out / "tables" / "psi_sweep.csv").read_text().splitlines()[1:]
     u, re, im = (float(v) for v in line.split(","))
     assert u == 1e300
-    assert -8.0 <= re <= 0.0
+    assert re == pytest.approx((math.cos(5e299) - 1.0) / 0.25, rel=1e-12)
     assert im == pytest.approx(-2e300, rel=1e-15)
 
 

@@ -111,6 +111,15 @@ def test_gaussian_piece_cancels_nothing_at_large_u():
     assert abs(exponent_eval(m, 20.0) - want) <= 1e-15 * abs(want)
 
 
+def test_off_centre_piece_keeps_its_real_part_past_cu_of_1e154():
+    # a piece centred at c = 1 so narrow that e^{-vu^2/2} = 0 at cu = 1e200:
+    # E[e^{iuX} - 1 - iuX] = -e^{icu} + (e^{icu} - 1 - icu) = -1 - icu, whose
+    # real part is lost if phi2(icu)'s, (1 - cos cu) / (cu)^2, underflows
+    psi = exponent_eval(AccumMeasure(pieces=((1.0, Gaussian(1.0, 1e-300)),)), 1e200)
+    assert psi.real == pytest.approx(-1.0, rel=1e-12)
+    assert psi.imag == -1e200
+
+
 def test_exponent_zero_is_exact():
     for m in (mixed_measure(), AccumMeasure(atoms=((1.0, 3.0),))):
         assert exponent_eval(m, 0.0) == 0.0
@@ -236,6 +245,28 @@ def test_psi_curvature_property(m):
 @given(measures, us)
 def test_psi_against_quad_oracle(m, u):
     assert abs(exponent_eval(m, u) - quad_oracle(m, u)) <= 1e-9
+
+
+_discretes = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 1.0)),
+                      min_size=1, max_size=3).map(
+    lambda atoms: FiniteDiscrete(tuple((x, w / math.fsum(w for _, w in atoms)) for x, w in atoms)))
+_groups = st.tuples(st.one_of(_discretes, _gaussians, _uniforms), st.integers(1, 3))
+# below and above COLUMNAR_MIN_GROUPS, so both ways of build_accum run
+rows = st.one_of(st.lists(_groups, min_size=1, max_size=12),
+                 st.lists(_groups, min_size=32, max_size=40)).map(
+    lambda groups: RowSpec(7, tuple(groups)))
+
+
+@PROPERTY_SETTINGS
+@given(rows, st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12).map(np.array))
+def test_psi_of_a_centred_row_is_its_accompanying_exponent(row, u):
+    # K_n of the centred row gives Psi = sum over groups of count (f(u) - 1):
+    # exp Psi is the product of the Poisson-type characteristic functions
+    # e^{count (f(u) - 1)}, the row's accompanying infinitely divisible law
+    t = row.table.centered
+    want = (t.count * (t.cf(u) - 1.0)).sum(-1)
+    psi = exponent_eval(build_accum(row, center=True), u)
+    assert np.all(np.abs(psi - want) <= 1e-13 * np.maximum(1.0, np.abs(psi)))
 
 
 # ---------------------------------------------------------------------------
